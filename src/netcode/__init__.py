@@ -27,12 +27,10 @@ from .design import (
 from .channel import (
     FadingModel,
     RoundBatch,
-    RoundObservation,
     SncPolicy,
     combine_reliability,
     link_error_prob,
     q_function,
-    simulate_round,
     simulate_rounds,
     snc_threshold,
 )
@@ -40,13 +38,9 @@ from .decoders import (
     TannerGraph,
     build_tanner_graph,
     channel_llr,
-    decode_with_mode,
     decode_with_mode_batch,
     llr_chat,
-    map_decode,
     map_decode_batch,
-    parity_check_matrix,
-    sp_decode,
     sp_decode_batch,
 )
 from .harness import (

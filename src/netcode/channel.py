@@ -3,12 +3,10 @@ selective encoding, Rayleigh fading, and destination observations.
 
 All randomness flows through an explicit numpy Generator.  Draw order is
 fixed (data bits, relay link SNRs, relay error uniforms, destination
-gains, noise) so a seeded round is reproducible.  The batch form is the
-workhorse; single-round wrappers exist for tracing and tests.
+gains, noise) so a seeded round is reproducible.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,19 +14,16 @@ import numpy as np
 from scipy.special import erfc
 
 from .design import NetworkCode, validate_schedule
-from .gf2 import BitMatrix, BitVector
 
 __all__ = [
     "FadingModel",
     "SncPolicy",
     "RoundBatch",
-    "RoundObservation",
     "q_function",
     "link_error_prob",
     "snc_threshold",
     "combine_reliability",
     "relay_pairs",
-    "simulate_round",
     "simulate_rounds",
 ]
 
@@ -130,56 +125,6 @@ class RoundBatch:
         return self.u.shape[0]
 
 
-@dataclass
-class RoundObservation:
-    """One simulated round, unpacked from a batch of size 1."""
-
-    code: NetworkCode
-    u: BitVector
-    c: BitVector
-    e: BitVector
-    c_hat: BitVector
-    p_e: list[float]
-    h: list[complex]
-    y: list[complex]
-    g_eff: BitMatrix
-    pairs: list[tuple[int, int]]
-    pair_err_prob: list[float]
-    pair_err: list[int]
-    pair_kept: list[bool]
-    error_free: bool = False
-
-    def to_batch(self) -> RoundBatch:
-        return RoundBatch(
-            code=self.code,
-            u=np.array([self.u.to_list()], dtype=np.uint8),
-            c=np.array([self.c.to_list()], dtype=np.uint8),
-            e=np.array([self.e.to_list()], dtype=np.uint8),
-            c_hat=np.array([self.c_hat.to_list()], dtype=np.uint8),
-            p_e=np.array([self.p_e], dtype=float),
-            h=np.array([self.h], dtype=complex),
-            y=np.array([self.y], dtype=complex),
-            g_eff=self.g_eff.to_array()[None, :, :],
-            pairs=list(self.pairs),
-            pair_err_prob=np.array([self.pair_err_prob], dtype=float),
-            pair_err=np.array([self.pair_err], dtype=np.uint8),
-            pair_kept=np.array([self.pair_kept], dtype=bool),
-            error_free=self.error_free,
-        )
-
-    def trace_json(self, seed=None) -> str:
-        """One JSON line for debugging dumps."""
-        obj = {
-            "seed": seed,
-            "c": self.c.to_list(),
-            "e": self.e.to_list(),
-            "p_e": self.p_e,
-            "G_eff": self.g_eff.to_lists(),
-            "y": [[z.real, z.imag] for z in self.y],
-        }
-        return json.dumps(obj)
-
-
 def simulate_rounds(
     code: NetworkCode,
     fading: FadingModel,
@@ -266,38 +211,3 @@ def simulate_rounds(
     return RoundBatch(code=code, u=u, c=c, e=e, c_hat=c_hat, p_e=p_e, h=h, y=y,
                       g_eff=g_eff, pairs=pairs, pair_err_prob=pair_err_prob,
                       pair_err=pair_err, pair_kept=kept, error_free=genie)
-
-
-def simulate_round(
-    code: NetworkCode,
-    u: Sequence[int] | BitVector,
-    fading: FadingModel,
-    snc: SncPolicy,
-    rng: np.random.Generator,
-    genie: bool = False,
-) -> RoundObservation:
-    """Simulate a single round for the given data vector."""
-    if isinstance(u, BitVector):
-        u_bits = u.to_list()
-    else:
-        u_bits = list(u)
-    if len(u_bits) != code.k:
-        raise ValueError(f"data vector length {len(u_bits)} != k={code.k}")
-    b = simulate_rounds(code, fading, snc, rng, 1,
-                        u=np.array([u_bits], dtype=np.uint8), genie=genie)
-    return RoundObservation(
-        code=code,
-        u=BitVector.from_bits(b.u[0].tolist()),
-        c=BitVector.from_bits(b.c[0].tolist()),
-        e=BitVector.from_bits(b.e[0].tolist()),
-        c_hat=BitVector.from_bits(b.c_hat[0].tolist()),
-        p_e=b.p_e[0].tolist(),
-        h=b.h[0].tolist(),
-        y=b.y[0].tolist(),
-        g_eff=BitMatrix.from_rows(b.g_eff[0].tolist(), code.n),
-        pairs=b.pairs,
-        pair_err_prob=b.pair_err_prob[0].tolist(),
-        pair_err=b.pair_err[0].tolist(),
-        pair_kept=b.pair_kept[0].tolist(),
-        error_free=b.error_free,
-    )

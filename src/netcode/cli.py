@@ -36,15 +36,27 @@ from .harness import (
 __all__ = ["main", "cli_main"]
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="netcode",
                                 description="Cooperative network coding toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("design", help="construct a code and emit it as JSON")
-    d.add_argument("--k", type=int, help="number of sources (with --d)")
-    d.add_argument("--n", type=int, help="number of slots (with --d)")
-    d.add_argument("--d", type=int, required=True, help="target minimum distance")
+    size = d.add_mutually_exclusive_group(required=True)
+    size.add_argument("--k", type=_positive_int, help="number of sources (with --d)")
+    size.add_argument("--n", type=_positive_int, help="number of slots (with --d)")
+    d.add_argument("--d", type=_positive_int, required=True,
+                   help="target minimum distance")
     d.add_argument("-o", "--output", default="-", help="output path (default stdout)")
 
     a = sub.add_parser("analyze", help="report separation vector, rate, schedule")
@@ -57,14 +69,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="emit JSON lines instead of CSV")
 
     t = sub.add_parser("tradeoff", help="greedy vs repetition trade-off table")
-    t.add_argument("--k", type=int, required=True)
-    t.add_argument("--n-range", help="inclusive length range lo:hi")
-    t.add_argument("--d-range", help="inclusive distance range lo:hi")
+    t.add_argument("--k", type=_positive_int, required=True)
+    span = t.add_mutually_exclusive_group(required=True)
+    span.add_argument("--n-range", help="inclusive length range lo:hi")
+    span.add_argument("--d-range", help="inclusive distance range lo:hi")
     t.add_argument("-o", "--output", default="-", help="output path (default stdout)")
 
     sl = sub.add_parser("slope", help="diversity slope from a sweep CSV")
     sl.add_argument("--input", required=True, help="sweep CSV file")
-    sl.add_argument("--source", type=int, required=True, help="1-based source index")
+    sl.add_argument("--source", type=_positive_int, required=True,
+                    help="1-based source index")
     sl.add_argument("--window", type=int, default=3,
                     help="number of top SNR points (default 3)")
     return p
@@ -78,13 +92,13 @@ def _open_out(path: str):
 
 def _cmd_design(args) -> int:
     if args.n is not None:
+        if args.n < args.d:
+            raise ConfigError(f"--n {args.n} is below --d {args.d}")
         G = greedy_code(args.n, args.d)
         G = _systematize(G)
         code = network_code(G, default_schedule(G))
-    elif args.k is not None:
-        code = code_for_requirements(args.k, args.d)
     else:
-        raise ConfigError("design needs --k or --n")
+        code = code_for_requirements(args.k, args.d)
     fp, close = _open_out(args.output)
     try:
         fp.write(json.dumps(code.to_json_dict(), indent=2) + "\n")
@@ -130,21 +144,23 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_range(text: str) -> range:
+def _parse_range(option: str, text: str, least: int = 1) -> range:
     try:
-        lo, hi = text.split(":")
-        return range(int(lo), int(hi) + 1)
+        lo, hi = (int(x) for x in text.split(":"))
     except ValueError as exc:
-        raise ConfigError(f"bad range {text!r}, expected lo:hi") from exc
+        raise ConfigError(f"{option}: bad range {text!r}, expected lo:hi") from exc
+    if not least <= lo <= hi:
+        raise ConfigError(f"{option}: bad range {text!r}, need {least} <= lo <= hi")
+    return range(lo, hi + 1)
 
 
 def _cmd_tradeoff(args) -> int:
-    if (args.n_range is None) == (args.d_range is None):
-        raise ConfigError("provide exactly one of --n-range or --d-range")
-    if args.n_range:
-        rows = tradeoff_table(args.k, n_range=_parse_range(args.n_range))
+    if args.n_range is not None:
+        rows = tradeoff_table(
+            args.k, n_range=_parse_range("--n-range", args.n_range, args.k))
     else:
-        rows = tradeoff_table(args.k, d_range=_parse_range(args.d_range))
+        rows = tradeoff_table(
+            args.k, d_range=_parse_range("--d-range", args.d_range))
     fp, close = _open_out(args.output)
     try:
         fp.write("k,n,d,rate,greedy_min,greedy_max,greedy_avg,"

@@ -2,9 +2,8 @@
 passing on the Tanner graph of [G^T | I_n], and the genie/naive
 reference modes.
 
-LLR sign convention: positive favors bit 0 (ln p0/p1).  Batch functions
-take a RoundBatch and return per-round arrays; thin single-round
-wrappers accept a RoundObservation.
+LLR sign convention: positive favors bit 0 (ln p0/p1).  Decoders take
+a RoundBatch and return per-round arrays.
 """
 from __future__ import annotations
 
@@ -12,21 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RoundBatch, RoundObservation
+from .channel import RoundBatch
 from .design import NetworkCode
-from .gf2 import BitMatrix
 
 __all__ = [
     "TannerGraph",
-    "parity_check_matrix",
     "build_tanner_graph",
     "llr_chat",
     "channel_llr",
-    "map_decode",
     "map_decode_batch",
-    "sp_decode",
     "sp_decode_batch",
-    "decode_with_mode",
     "decode_with_mode_batch",
     "MAP_SIZE_LIMIT",
 ]
@@ -38,15 +32,6 @@ MAP_SIZE_LIMIT = 26
 # cannot overflow while leaving hard decisions untouched.
 LLR_CLAMP = 40.0
 _ATANH_EPS = 1e-15
-
-
-def parity_check_matrix(code: NetworkCode) -> BitMatrix:
-    """[G^T | I_n] over the combined codeword [u_1..u_k c_1..c_n]."""
-    k, n = code.k, code.n
-    masks = []
-    for j in range(n):
-        masks.append(code.G.column_mask(j) | (1 << (k + j)))
-    return BitMatrix(tuple(masks), n, k + n)
 
 
 @dataclass(frozen=True)
@@ -129,50 +114,46 @@ def map_decode_batch(batch: RoundBatch, code: NetworkCode, noise: float = 1.0,
     if k + n > MAP_SIZE_LIMIT:
         raise ValueError(f"k + n = {k + n} exceeds MAP guard {MAP_SIZE_LIMIT}")
     _check_batch(batch, noise)
-    B = len(batch)
-    L = llr_chat(batch.y, batch.h, noise)  # (B, n)
-
-    # all 2^k data hypotheses
-    M = 1 << k
-    U = ((np.arange(M)[:, None] >> np.arange(k)[None, :]) & 1).astype(np.uint8)
-    # codeword table per round under the instantaneous generator matrix
-    cu = np.einsum("mk,bkn->bmn", U, batch.g_eff) % 2  # (B, M, n)
-    sgn = 1.0 - 2.0 * cu
-
-    p = batch.p_e[:, None, :]  # (B, 1, n)
-    half = sgn * (L[:, None, :] / 2.0)
-    # relay error marginalized per slot: (1-p) e^{+half} + p e^{-half}
+    half = llr_chat(batch.y, batch.h, noise) / 2.0  # (B, n)
+    # relay error marginalized per slot, (1-p) e^{+-L/2} + p e^{-+L/2},
+    # for coded bit 0 and bit 1
     with np.errstate(divide="ignore"):
-        log_ok = np.log1p(-p)
-        log_err = np.log(p)
-    term = np.logaddexp(log_ok + half, log_err - half)
-    score = term.sum(axis=2)  # (B, M) log-likelihood up to a constant
+        log_ok = np.log1p(-batch.p_e)
+        log_err = np.log(batch.p_e)
+    term0 = np.logaddexp(log_ok + half, log_err - half)
+    term1 = np.logaddexp(log_ok - half, log_err + half)
 
-    total = _logsumexp(score, axis=1)
-    posterior = np.empty((B, k))
-    llrs = np.empty((B, k))
+    # codeword tables: hypothesis m carries u_i = (m >> i) & 1, so the
+    # codewords of m in [2^i, 2^(i+1)) are those of m - 2^i XOR row i.
+    # Without selective encoding every round shares one generator matrix.
+    g = batch.g_eff.astype(float)
+    if (g == g[:1]).all():
+        g = g[:1]
+    M = 1 << k
+    cu = np.zeros((len(g), M, n))
     for i in range(k):
-        mask = U[:, i] == 1
-        ls1 = _logsumexp(score[:, mask], axis=1)
-        posterior[:, i] = np.exp(ls1 - total)
-        if with_llrs:
-            llrs[:, i] = _logsumexp(score[:, ~mask], axis=1) - ls1
+        np.not_equal(cu[:, :1 << i], g[:, i, None, :], out=cu[:, 1 << i:2 << i])
+    # log-likelihood of each hypothesis, up to a per-round constant (the
+    # thin products go through einsum: BLAS threads only contend here)
+    cu = np.broadcast_to(cu, (len(batch), M, n))
+    score = np.einsum("bmn,bn->bm", cu, term1 - term0)
+    score -= score.max(axis=1, keepdims=True)
+    like = np.exp(score)
+    U = ((np.arange(M)[:, None] >> np.arange(k)) & 1).astype(float)  # (M, k) data bits
+    posterior = np.einsum("bm,mk->bk", like, U) / like.sum(axis=1, keepdims=True)
     decisions = (posterior > 0.5).astype(np.uint8)
-    if with_llrs:
-        return posterior, decisions, llrs
-    return posterior, decisions
+    if not with_llrs:
+        return posterior, decisions
+    llrs = np.stack([_logsumexp(score[:, U[:, i] == 0], axis=1)
+                     - _logsumexp(score[:, U[:, i] == 1], axis=1)
+                     for i in range(k)], axis=1)
+    return posterior, decisions, llrs
 
 
 def _logsumexp(x, axis):
     m = np.max(x, axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     return (m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))).squeeze(axis)
-
-
-def map_decode(obs: RoundObservation, code: NetworkCode, noise: float = 1.0):
-    """Single-round MAP; returns (posterior list, decision list)."""
-    posterior, decisions = map_decode_batch(obs.to_batch(), code, noise)
-    return posterior[0].tolist(), decisions[0].tolist()
 
 
 def sp_decode_batch(
@@ -184,42 +165,45 @@ def sp_decode_batch(
     """Sum-product decoding with a flooding schedule and a fixed number
     of iterations (no early termination).
 
-    Coded variables have degree 1, so their messages into the checks are
-    the composite channel LLRs and never change.  Returns
-    (posterior_llrs, decisions); ties (LLR exactly 0) decide 0.
+    Messages live on the edges of the code's Tanner graph, one row of
+    rounds per edge; an edge that selective encoding dropped from a
+    round carries no message in that round.  Coded variables have
+    degree 1, so their messages into the checks are the composite
+    channel LLRs and never change.  Returns (posterior_llrs, decisions);
+    ties (LLR exactly 0) decide 0.
     """
     _check_batch(batch, noise)
-    k = code.k
+    checks = build_tanner_graph(code).check_sources
+    chk = [j for j, srcs in enumerate(checks) for _ in srcs]  # edges by check,
+    src = [i for srcs in checks for i in srcs]                 # then by source
     L = llr_chat(batch.y, batch.h, noise)          # (B, n)
-    lam = channel_llr(L, batch.p_e)                # (B, n)
-    lam = np.clip(lam, -LLR_CLAMP, LLR_CLAMP)
-    t_lam = np.tanh(lam / 2.0)                     # fixed c_j -> check_j factor
+    lam = np.clip(channel_llr(L, batch.p_e), -LLR_CLAMP, LLR_CLAMP)
+    t_lam = np.tanh(lam / 2.0).T[chk]              # (E, B) fixed c_j -> check_j factor
+    kept = batch.g_eff[:, src, chk].T == 1         # (E, B) edges SNC kept
 
-    A = batch.g_eff.astype(bool).transpose(0, 2, 1)  # (B, n, k) check adjacency
-    m_vc = np.zeros_like(A, dtype=float)             # source -> check messages
-    m_cv = np.zeros_like(m_vc)                       # check -> source messages
+    m_vc = np.zeros(t_lam.shape)                   # source -> check messages
+    totals = np.zeros((code.k, len(batch)))        # per-source sum over checks
     for _ in range(iters):
-        t = np.where(A, np.tanh(np.clip(m_vc, -LLR_CLAMP, LLR_CLAMP) / 2.0), 1.0)
-        # product over sources excluding the target, via prefix/suffix scans
-        pre = np.ones_like(t)
-        suf = np.ones_like(t)
-        np.cumprod(t[:, :, :-1], axis=2, out=pre[:, :, 1:])
-        np.cumprod(t[:, :, :0:-1], axis=2, out=suf[:, :, -2::-1])
-        excl = pre * suf
-        prod = np.clip(t_lam[:, :, None] * excl, -1 + _ATANH_EPS, 1 - _ATANH_EPS)
-        m_cv = np.where(A, 2.0 * np.arctanh(prod), 0.0)
-        total = m_cv.sum(axis=1, keepdims=True)      # per-source sum over checks
-        m_vc = np.where(A, total - m_cv, 0.0)
-    posterior_llrs = m_cv.sum(axis=1)                # (B, k); source channel LLR is 0
+        t = np.where(kept, np.tanh(np.clip(m_vc, -LLR_CLAMP, LLR_CLAMP) / 2.0), 1.0)
+        # product over the check's other sources: prefix times suffix
+        excl = np.ones_like(t)
+        hi = 0
+        for srcs in checks:
+            lo, hi = hi, hi + len(srcs)
+            for e in range(lo + 1, hi):
+                excl[e] = excl[e - 1] * t[e - 1]
+            suf = 1.0
+            for e in range(hi - 2, lo - 1, -1):
+                suf = suf * t[e + 1]
+                excl[e] *= suf
+        prod = np.clip(t_lam * excl, -1 + _ATANH_EPS, 1 - _ATANH_EPS)
+        m_cv = np.where(kept, 2.0 * np.arctanh(prod), 0.0)
+        for s in range(code.k):
+            totals[s] = sum(m_cv[e] for e, i in enumerate(src) if i == s)
+        m_vc = totals[src] - m_cv                  # unused on dropped edges
+    posterior_llrs = totals.T.copy()                # (B, k); source channel LLR is 0
     decisions = (posterior_llrs < 0).astype(np.uint8)
     return posterior_llrs, decisions
-
-
-def sp_decode(obs: RoundObservation, code: NetworkCode, noise: float = 1.0,
-              iters: int = 4):
-    """Single-round sum-product; returns (posterior LLR list, decision list)."""
-    llrs, decisions = sp_decode_batch(obs.to_batch(), code, noise, iters)
-    return llrs[0].tolist(), decisions[0].tolist()
 
 
 DECODE_MODES = ("optimal", "genie", "naive")
@@ -254,10 +238,3 @@ def decode_with_mode_batch(
     else:
         _, decisions = sp_decode_batch(batch, code, noise, sp_iters)
     return decisions
-
-
-def decode_with_mode(obs: RoundObservation, code: NetworkCode, noise: float = 1.0,
-                     mode: str = "optimal", decoder: str = "map",
-                     sp_iters: int = 4) -> list[int]:
-    return decode_with_mode_batch(obs.to_batch(), code, noise, mode, decoder,
-                                  sp_iters)[0].tolist()

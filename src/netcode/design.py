@@ -69,12 +69,9 @@ def _rref(masks: list[int]) -> tuple[list[int], list[int]]:
 
     Returns (reduced masks sorted by descending pivot, pivot bit positions).
     """
-    basis: list[int] = []
-    for m in masks:
-        basis.append(m)
     # eliminate top-down
     reduced: list[int] = []
-    for m in basis:
+    for m in masks:
         for r in reduced:
             if m & (1 << (r.bit_length() - 1)):
                 m ^= r
@@ -231,7 +228,7 @@ class NetworkCode:
         if len(flat) != k * n:
             raise ValueError("G array length does not match k*n")
         rows = [flat[i * n:(i + 1) * n] for i in range(k)]
-        return network_code(BitMatrix.from_rows(rows, n), tuple(int(x) for x in obj["v"]))
+        return network_code(BitMatrix.from_rows(rows, n), obj["v"])
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -269,10 +266,6 @@ def validate_schedule(code: NetworkCode) -> tuple[bool, list[str]]:
                 violations.append(
                     f"slot {j}: causality violation, source {i + 1} not yet transmitted")
     return (not violations, violations)
-
-
-def greedy_dimension(n: int, d: int) -> int:
-    return greedy_code(n, d).rows
 
 
 def code_for_requirements(k: int, d: int) -> NetworkCode:
@@ -333,9 +326,6 @@ def repetition_code(k: int, n: int) -> NetworkCode:
     if n < k:
         raise ValueError(f"need at least one slot per source (k={k}, n={n})")
     reps = [n // k + (1 if i < n % k else 0) for i in range(k)]
-    cols: list[int] = list(range(1, k + 1))
-    for i in range(k):
-        cols.extend([i + 1] * (reps[i] - 1))
     # order extra slots round-robin after the systematic prefix
     extra = []
     remaining = [reps[i] - 1 for i in range(k)]

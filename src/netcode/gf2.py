@@ -21,6 +21,18 @@ __all__ = [
 ]
 
 
+def _pack(seq: Iterable[int]) -> tuple[int, int]:
+    """(mask, length) of a 0/1 sequence; entry j becomes bit j."""
+    mask = 0
+    n = 0
+    for b in seq:
+        if b not in (0, 1):
+            raise ValueError(f"entry {b!r} is not a GF(2) element")
+        mask |= b << n
+        n += 1
+    return mask, n
+
+
 @dataclass(frozen=True)
 class BitVector:
     """Length-n vector over GF(2), packed into an int mask."""
@@ -36,14 +48,7 @@ class BitVector:
 
     @classmethod
     def from_bits(cls, seq: Iterable[int]) -> "BitVector":
-        mask = 0
-        n = 0
-        for b in seq:
-            if b not in (0, 1):
-                raise ValueError(f"entry {b!r} is not a GF(2) element")
-            mask |= b << n
-            n += 1
-        return cls(mask, n)
+        return cls(*_pack(seq))
 
     def to_list(self) -> list[int]:
         return [(self.bits >> j) & 1 for j in range(self.n)]
@@ -95,7 +100,7 @@ class BitMatrix:
         for r in rows:
             if len(r) != cols:
                 raise ValueError("ragged rows")
-            masks.append(BitVector.from_bits(r).bits)
+            masks.append(_pack(r)[0])
         return cls(tuple(masks), len(rows), cols)
 
     @classmethod

@@ -9,7 +9,9 @@ for any worker count (NETCODE_THREADS changes speed only).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -71,6 +73,8 @@ class SimConfig:
     def __post_init__(self):
         if not self.snr_grid_db:
             raise ConfigError("SNR grid is empty")
+        if not all(map(math.isfinite, self.snr_grid_db)):
+            raise ConfigError("snr_grid_db entries must be finite")
         if any(b <= a for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):
             raise ConfigError("SNR grid must be strictly increasing")
         if self.min_errors_per_bit < 1:
@@ -79,6 +83,10 @@ class SimConfig:
             raise ConfigError("max_trials must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.sp_iters < 1:
+            raise ConfigError("sp_iters must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed must be >= 0")
         if self.decoder not in ("map", "sp"):
             raise ConfigError(f"unknown decoder {self.decoder!r}")
         if self.mode not in ("optimal", "genie", "naive"):
@@ -91,25 +99,49 @@ class SimConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SimConfig":
+        """Parse a JSON config; unknown keys and wrong types raise
+        ConfigError naming the field."""
+        if not isinstance(obj, dict):
+            raise ConfigError("config must be a JSON object")
+        if not obj.keys() <= _CONFIG_KEYS:
+            unknown = sorted(obj.keys() - _CONFIG_KEYS)
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+        if "code" in obj and "design" in obj:
+            raise ConfigError("config has both 'code' and 'design'; give one")
         try:
             if "code" in obj:
                 code = NetworkCode.from_json_dict(obj["code"])
             elif "design" in obj:
                 req = obj["design"]
-                code = code_for_requirements(int(req["k"]), int(req["d"]))
+                code = code_for_requirements(_design_int(req, "k"),
+                                             _design_int(req, "d"))
             else:
                 raise ConfigError("config needs a 'code' object or a 'design' {k, d}")
-            kwargs = {}
-            for key in ("fading_mode", "snc", "decoder", "mode", "sp_iters",
-                        "min_errors_per_bit", "max_trials", "master_seed",
-                        "batch_size"):
-                if key in obj:
-                    kwargs[key] = obj[key]
-            return cls(code=code,
-                       snr_grid_db=tuple(float(x) for x in obj["snr_grid_db"]),
-                       **kwargs)
+            grid = obj["snr_grid_db"]
+            if type(grid) is not list or not {type(x) for x in grid} <= {int, float}:
+                raise ConfigError("snr_grid_db must be a list of numbers")
+            kwargs = {name: obj[name] for name in _CONFIG_DEFAULTS if name in obj}
+            for name, value in kwargs.items():
+                want = type(_CONFIG_DEFAULTS[name])
+                if type(value) is not want:
+                    raise ConfigError(f"{name} must be {want.__name__}, got {value!r}")
+            return cls(code=code, snr_grid_db=tuple(map(float, grid)), **kwargs)
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
+
+
+# Optional fields with their defaults, whose types a JSON value must match
+# exactly (so a bool is not an int); the keys a config may carry.
+_CONFIG_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SimConfig)
+                    if f.default is not dataclasses.MISSING}
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(SimConfig)} | {"design"}
+
+
+def _design_int(req: dict, key: str) -> int:
+    value = req[key]
+    if type(value) is not int or value < 1:
+        raise ConfigError(f"design.{key} must be an integer >= 1, got {value!r}")
+    return value
 
 
 @dataclass
@@ -150,33 +182,16 @@ def _batch_counts(config: SimConfig, snr_index: int, batch_index: int,
     return size, (decisions != batch.u).sum(axis=0).astype(np.int64)
 
 
-def _batch_worker(args) -> tuple[int, np.ndarray]:
-    config_obj, snr_index, batch_index, size = args
-    config = SimConfig.from_json_dict(config_obj)
-    return _batch_counts(config, snr_index, batch_index, size)
-
-
-def _config_json_dict(config: SimConfig) -> dict:
-    return {
-        "code": config.code.to_json_dict(),
-        "snr_grid_db": list(config.snr_grid_db),
-        "fading_mode": config.fading_mode,
-        "snc": config.snc,
-        "decoder": config.decoder,
-        "mode": config.mode,
-        "sp_iters": config.sp_iters,
-        "min_errors_per_bit": config.min_errors_per_bit,
-        "max_trials": config.max_trials,
-        "master_seed": config.master_seed,
-        "batch_size": config.batch_size,
-    }
-
-
 def _worker_count() -> int:
+    text = os.environ.get("NETCODE_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("NETCODE_THREADS", "1")))
+        workers = int(text)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(
+            f"NETCODE_THREADS must be a positive integer, got {text!r}")
+    return workers
 
 
 def run_sweep(config: SimConfig) -> list[BerRecord]:
@@ -190,7 +205,7 @@ def run_sweep(config: SimConfig) -> list[BerRecord]:
     k = config.code.k
     records: list[BerRecord] = []
     pool = ProcessPoolExecutor(workers) if workers > 1 else None
-    config_obj = _config_json_dict(config) if pool else None
+    mapper = pool.map if pool is not None else map
     try:
         for snr_index in range(len(config.snr_grid_db)):
             t0 = time.perf_counter()
@@ -203,23 +218,16 @@ def run_sweep(config: SimConfig) -> list[BerRecord]:
                                          time.perf_counter() - t0))
                 continue
             # fixed batch sizes, determined purely by index
-            sizes = []
-            left = config.max_trials
-            while left > 0:
-                s = min(config.batch_size, left)
-                sizes.append(s)
-                left -= s
+            sizes = [min(config.batch_size, config.max_trials - start)
+                     for start in range(0, config.max_trials, config.batch_size)]
             done = False
             batch_index = 0
             while not done and batch_index < len(sizes):
                 wave = range(batch_index, min(batch_index + workers, len(sizes)))
-                if pool is not None:
-                    results = list(pool.map(
-                        _batch_worker,
-                        [(config_obj, snr_index, b, sizes[b]) for b in wave]))
-                else:
-                    results = [_batch_counts(config, snr_index, b, sizes[b])
-                               for b in wave]
+                w = len(wave)
+                results = list(mapper(_batch_counts, [config] * w,
+                                      [snr_index] * w, wave,
+                                      sizes[wave.start:wave.stop]))
                 for n_done, errs in results:
                     trials += n_done
                     errors += errs

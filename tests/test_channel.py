@@ -12,7 +12,6 @@ from netcode.channel import (
     link_error_prob,
     q_function,
     relay_pairs,
-    simulate_round,
     simulate_rounds,
     snc_threshold,
 )
@@ -122,18 +121,21 @@ def test_simulate_rejects_invalid_schedule(net34):
 
 
 def test_simulate_round_shapes(code1):
-    obs = simulate_round(code1, [1, 0, 1], FadingModel(), SncPolicy(), RNG(0))
-    assert obs.u.to_list() == [1, 0, 1]
-    assert len(obs.c) == 6 and len(obs.e) == 6
-    assert len(obs.p_e) == 6 and len(obs.h) == 6 and len(obs.y) == 6
-    assert obs.g_eff.rows == 3 and obs.g_eff.cols == 6
-    assert (obs.c ^ obs.e) == obs.c_hat
-    assert obs.pairs == relay_pairs(code1)
+    batch = simulate_rounds(code1, FadingModel(), SncPolicy(), RNG(0), 1,
+                            u=np.array([[1, 0, 1]]))
+    assert len(batch) == 1
+    assert batch.u[0].tolist() == [1, 0, 1]
+    assert batch.c.shape == (1, 6) and batch.e.shape == (1, 6)
+    assert batch.p_e.shape == batch.h.shape == batch.y.shape == (1, 6)
+    assert batch.g_eff.shape == (1, 3, 6)
+    assert ((batch.c ^ batch.e) == batch.c_hat).all()
+    assert batch.pairs == relay_pairs(code1)
 
 
 def test_simulate_round_wrong_data_length(code1):
     with pytest.raises(ValueError):
-        simulate_round(code1, [1, 0], FadingModel(), SncPolicy(), RNG(0))
+        simulate_rounds(code1, FadingModel(), SncPolicy(), RNG(0), 1,
+                        u=np.array([[1, 0]]))
 
 
 def test_codeword_consistent_with_effective_generator(code1):
@@ -312,21 +314,3 @@ def test_simulation_is_seed_deterministic(code1):
     assert np.array_equal(a.y, b.y)
     assert np.array_equal(a.p_e, b.p_e)
 
-
-def test_observation_batch_roundtrip(code1):
-    obs = simulate_round(code1, [1, 1, 0], FadingModel(), SncPolicy(), RNG(15))
-    batch = obs.to_batch()
-    assert len(batch) == 1
-    assert batch.u[0].tolist() == [1, 1, 0]
-    assert np.allclose(batch.y[0], obs.y)
-    assert batch.g_eff[0].tolist() == obs.g_eff.to_lists()
-
-
-def test_trace_json_fields(code1):
-    obs = simulate_round(code1, [0, 1, 1], FadingModel(), SncPolicy(), RNG(16))
-    import json
-
-    obj = json.loads(obs.trace_json(seed=16))
-    assert obj["seed"] == 16
-    assert obj["c"] == obs.c.to_list()
-    assert len(obj["y"]) == code1.n

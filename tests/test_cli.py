@@ -126,6 +126,60 @@ def test_simulate_invalid_config(capsys, tmp_path):
     assert "increasing" in err
 
 
+def _write_config(tmp_path, code, **over):
+    cfg = {"code": code.to_json_dict(), "snr_grid_db": [2.0],
+           "decoder": "sp", "min_errors_per_bit": 5, "max_trials": 6000,
+           "batch_size": 2000}
+    cfg.update(over)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("over, field", [
+    ({"snc": "false"}, "snc"),
+    ({"min_error_per_bit": 5}, "min_error_per_bit"),
+    ({"batch_size": 2.5}, "batch_size"),
+    ({"max_trials": 1.5}, "max_trials"),
+    ({"master_seed": True}, "master_seed"),
+    ({"sp_iters": 0}, "sp_iters"),
+    ({"master_seed": -1}, "master_seed"),
+    ({"snr_grid_db": [float("nan")]}, "snr_grid_db"),
+    ({"snr_grid_db": [0.0, float("inf")]}, "snr_grid_db"),
+])
+def test_simulate_rejects_bad_config_field(capsys, tmp_path, code1, over, field):
+    path = _write_config(tmp_path, code1, **over)
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 2
+    assert field in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("design, field", [
+    ({"k": "3", "d": 3}, "design.k"),
+    ({"k": 3, "d": 2.5}, "design.d"),
+    ({"k": True, "d": 3}, "design.k"),
+    ({"k": 0, "d": 3}, "design.k"),
+])
+def test_simulate_rejects_bad_design_request(capsys, tmp_path, design, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"design": design, "snr_grid_db": [0.0]}))
+    code, _, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 2
+    assert field in err
+
+
+@pytest.mark.parametrize("threads", ["two", "-4", "0"])
+def test_simulate_rejects_bad_thread_count(capsys, tmp_path, monkeypatch,
+                                           code1, threads):
+    monkeypatch.setenv("NETCODE_THREADS", threads)
+    path = _write_config(tmp_path, code1)
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 2
+    assert "NETCODE_THREADS" in err
+    assert out == ""
+
+
 # ------------------------------------------------------------------ tradeoff
 
 def test_tradeoff_by_distance_range(capsys):
@@ -157,6 +211,24 @@ def test_tradeoff_bad_range_syntax(capsys):
     code, _, err = run_cli(capsys, "tradeoff", "--k", "3", "--n-range", "3-5")
     assert code == 2
     assert "expected lo:hi" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("tradeoff", "--k", "3", "--n-range", "5:3"), "--n-range"),
+    (("tradeoff", "--k", "3", "--n-range", "1:4"), "--n-range"),
+    (("tradeoff", "--k", "3", "--d-range", "0:2"), "--d-range"),
+    (("tradeoff", "--k", "0", "--d-range", "1:3"), "--k"),
+    (("design", "--k", "0", "--d", "3"), "--k"),
+    (("design", "--k", "3", "--d", "0"), "--d"),
+    (("design", "--n", "3", "--d", "5"), "--n"),
+    (("design", "--k", "3", "--n", "6", "--d", "3"), "--n"),
+    (("slope", "--input", "sweep.csv", "--source", "0"), "--source"),
+])
+def test_usage_errors_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert message in err
+    assert out == ""
 
 
 # --------------------------------------------------------------------- slope

@@ -9,13 +9,9 @@ from netcode.decoders import (
     TannerGraph,
     build_tanner_graph,
     channel_llr,
-    decode_with_mode,
     decode_with_mode_batch,
     llr_chat,
-    map_decode,
     map_decode_batch,
-    parity_check_matrix,
-    sp_decode,
     sp_decode_batch,
 )
 from netcode.design import code_for_requirements, network_code, repetition_code
@@ -45,26 +41,16 @@ def _random_code(rng, k_max=3, n_max=6):
 
 # ---------------------------------------------------------------- structure
 
-def test_parity_check_matrix_shape(code1):
-    H = parity_check_matrix(code1)
-    assert H.rows == 6 and H.cols == 9
-    # check j involves exactly the sources of column j plus coded bit j
-    G = code1.G.to_array()
-    for j in range(6):
-        row = H.row(j).to_list()
-        assert row[:3] == G[:, j].tolist()
-        assert row[3:] == [1 if m == j else 0 for m in range(6)]
-
-
 def test_parity_checks_annihilate_codewords(code1):
-    """[u | uG] satisfies every check."""
-    H = parity_check_matrix(code1)
+    """[u | uG] satisfies every check of the Tanner graph: the sources of
+    check j XOR to coded bit j."""
+    g = build_tanner_graph(code1)
     G = code1.G.to_array().astype(int)
     for u_int in range(8):
         u = np.array([(u_int >> i) & 1 for i in range(3)])
-        word = np.concatenate([u, (u @ G) % 2])
-        for j in range(H.rows):
-            assert np.dot(H.row(j).to_list(), word) % 2 == 0
+        c = (u @ G) % 2
+        for j in range(g.num_checks):
+            assert (u[list(g.check_sources[j])].sum() + c[j]) % 2 == 0
 
 
 def test_build_tanner_graph(code1):
@@ -196,15 +182,14 @@ def test_map_size_guard():
 
 
 def test_map_decode_single_round_wrapper(code1):
-    from netcode.channel import simulate_round
-
-    obs = simulate_round(code1, [1, 0, 1], FadingModel("block_iid", 100.0),
-                         SncPolicy(), RNG(37))
-    posterior, decision = map_decode(obs, code1)
-    assert len(posterior) == 3 and len(decision) == 3
+    """A batch of one round decodes like any other."""
+    batch = simulate_rounds(code1, FadingModel("block_iid", 100.0),
+                            SncPolicy(), RNG(37), 1, u=np.array([[1, 0, 1]]))
+    posterior, decision = map_decode_batch(batch, code1)
+    assert posterior.shape == (1, 3) and decision.shape == (1, 3)
     # at 20 dB the round is almost surely decoded correctly
-    if all(e == 0 for e in obs.e.to_list()):
-        assert decision == [1, 0, 1]
+    if (batch.e == 0).all():
+        assert decision[0].tolist() == [1, 0, 1]
 
 
 def test_map_uninformative_slots_are_ignored(code1):
@@ -279,14 +264,13 @@ def test_sp_iteration_count_is_respected(code1):
 
 
 def test_sp_single_round_wrapper(code1):
-    from netcode.channel import simulate_round
-
-    obs = simulate_round(code1, [0, 1, 1], FadingModel("block_iid", 100.0),
-                         SncPolicy(), RNG(44))
-    llrs, decision = sp_decode(obs, code1)
-    assert len(llrs) == 3 and len(decision) == 3
-    if all(e == 0 for e in obs.e.to_list()):
-        assert decision == [0, 1, 1]
+    """A batch of one round decodes like any other."""
+    batch = simulate_rounds(code1, FadingModel("block_iid", 100.0),
+                            SncPolicy(), RNG(44), 1, u=np.array([[0, 1, 1]]))
+    llrs, decision = sp_decode_batch(batch, code1)
+    assert llrs.shape == (1, 3) and decision.shape == (1, 3)
+    if (batch.e == 0).all():
+        assert decision[0].tolist() == [0, 1, 1]
 
 
 def test_sp_finite_under_extreme_llrs(code1):
@@ -341,11 +325,11 @@ def test_optimal_mode_dispatches_to_both_decoders(code1):
 
 
 def test_decode_with_mode_single_round(code1):
-    from netcode.channel import simulate_round
-
-    obs = simulate_round(code1, [1, 1, 1], FadingModel("block_iid", 100.0),
-                         SncPolicy(), RNG(50), genie=True)
-    assert decode_with_mode(obs, code1, mode="genie") == [1, 1, 1]
+    batch = simulate_rounds(code1, FadingModel("block_iid", 100.0),
+                            SncPolicy(), RNG(50), 1, u=np.array([[1, 1, 1]]),
+                            genie=True)
+    decision = decode_with_mode_batch(batch, code1, mode="genie")
+    assert decision[0].tolist() == [1, 1, 1]
 
 
 def test_optimal_beats_naive_at_moderate_snr(code1):

@@ -8,7 +8,6 @@ from netcode.design import (
     code_for_requirements,
     default_schedule,
     greedy_code,
-    greedy_dimension,
     network_code,
     puncture,
     rate_advantage,
@@ -99,11 +98,11 @@ def test_greedy_code_distance_one_is_identity():
 
 
 def test_greedy_code_known_dimensions():
-    assert greedy_dimension(6, 3) == 3
-    assert greedy_dimension(7, 3) == 4
-    assert greedy_dimension(7, 4) == 3
-    assert greedy_dimension(5, 2) == 4
-    assert greedy_dimension(7, 7) == 1
+    assert greedy_code(6, 3).rows == 3
+    assert greedy_code(7, 3).rows == 4
+    assert greedy_code(7, 4).rows == 3
+    assert greedy_code(5, 2).rows == 4
+    assert greedy_code(7, 7).rows == 1
 
 
 def test_greedy_code_known_separations():

@@ -19,6 +19,7 @@ from netcode.harness import (
     records_to_json_lines,
     run_sweep,
     tradeoff_table,
+    _worker_count,
 )
 
 
@@ -79,6 +80,34 @@ def test_config_from_json_dict_rejects_garbage():
         SimConfig.from_json_dict({"snr_grid_db": [0, 6]})
     with pytest.raises(ConfigError):
         SimConfig.from_json_dict({"design": {"k": 3}, "snr_grid_db": [0]})
+
+
+def test_config_from_json_dict_is_strict(code1):
+    base = {"code": code1.to_json_dict(), "snr_grid_db": [0, 6]}
+    for over, field in [({"snc": 1}, "snc"), ({"decoder": 7}, "decoder"),
+                        ({"seed": 1}, "seed"), ({"sp_iters": 4.0}, "sp_iters"),
+                        ({"snr_grid_db": "0,6"}, "snr_grid_db"),
+                        ({"snr_grid_db": [0, True]}, "snr_grid_db"),
+                        ({"design": {"k": 3, "d": 3}}, "design")]:
+        with pytest.raises(ConfigError, match=field):
+            SimConfig.from_json_dict({**base, **over})
+    with pytest.raises(ConfigError, match="sp_iters"):
+        _config(code1, sp_iters=-3)
+    with pytest.raises(ConfigError, match="master_seed"):
+        _config(code1, master_seed=-1)
+    with pytest.raises(ConfigError, match="snr_grid_db"):
+        _config(code1, snr_grid_db=(0.0, math.nan))
+
+
+def test_worker_count_from_environment(monkeypatch):
+    monkeypatch.delenv("NETCODE_THREADS", raising=False)
+    assert _worker_count() == 1
+    monkeypatch.setenv("NETCODE_THREADS", "3")
+    assert _worker_count() == 3
+    for bad in ["two", "-4", "0", "1.5", ""]:
+        monkeypatch.setenv("NETCODE_THREADS", bad)
+        with pytest.raises(ConfigError, match="NETCODE_THREADS"):
+            _worker_count()
 
 
 # ------------------------------------------------------------------ sweeping
