@@ -16,11 +16,9 @@ from fractions import Fraction
 from .design import (
     NetworkCode,
     code_for_requirements,
-    default_schedule,
     greedy_code,
-    network_code,
     validate_schedule,
-    _systematize,
+    _scheduled_code,
 )
 from .harness import (
     ConfigError,
@@ -94,9 +92,7 @@ def _cmd_design(args) -> int:
     if args.n is not None:
         if args.n < args.d:
             raise ConfigError(f"--n {args.n} is below --d {args.d}")
-        G = greedy_code(args.n, args.d)
-        G = _systematize(G)
-        code = network_code(G, default_schedule(G))
+        code = _scheduled_code(greedy_code(args.n, args.d))
     else:
         code = code_for_requirements(args.k, args.d)
     fp, close = _open_out(args.output)

@@ -8,10 +8,11 @@ they are computed exactly by enumerating error data vectors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Sequence
+from functools import cached_property
+from itertools import combinations, islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -64,11 +65,9 @@ def separation_vector(G: BitMatrix) -> tuple[int, ...]:
     return tuple(d)
 
 
-def _rref(masks: list[int]) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form over GF(2), pivoting on the highest set bit.
-
-    Returns (reduced masks sorted by descending pivot, pivot bit positions).
-    """
+def _rref(masks: list[int]) -> list[int]:
+    """Reduced row echelon form over GF(2), pivoting on the highest set bit;
+    the reduced masks sorted by descending pivot."""
     # eliminate top-down
     reduced: list[int] = []
     for m in masks:
@@ -81,8 +80,7 @@ def _rref(masks: list[int]) -> tuple[list[int], list[int]]:
             reduced = [r ^ m if r & p else r for r in reduced]
             reduced.append(m)
     reduced.sort(key=int.bit_length, reverse=True)
-    pivots = [r.bit_length() - 1 for r in reduced]
-    return reduced, pivots
+    return reduced
 
 
 def _coset_rep(x: int, rref_rows: list[int]) -> int:
@@ -93,20 +91,20 @@ def _coset_rep(x: int, rref_rows: list[int]) -> int:
     return x
 
 
-def greedy_code(n: int, d: int) -> BitMatrix:
-    """Binary lexicode of length n and minimum distance >= d.
+def _lexicode(n: int, d: int) -> Iterator[int]:
+    """Basis rows of the binary lexicode of length n and minimum distance
+    >= d, yielded in the order they are admitted.
 
     Vectors are admitted greedily in lexicographic order, starting from
     zero, whenever their distance to every previously admitted vector is
-    at least d; the admitted set is linear and the returned rows are its
-    basis in admission order.  Ordering follows the packed-int
-    convention (coordinate 0 least significant), i.e. plain integer
-    order on the masks; the mirror-image enumeration yields the
-    column-reversed, equivalent code.
+    at least d; the admitted set is linear.  Ordering follows the
+    packed-int convention (coordinate 0 least significant), i.e. plain
+    integer order on the masks.  The row admitted at bit p depends only
+    on the bits below p, so lexicodes are nested in n: a caller that
+    needs a prefix of the rows stops the pass there.
     """
     if not (n >= d >= 1):
         raise ValueError(f"require n >= d >= 1, got n={n}, d={d}")
-    basis: list[int] = []
     rref: list[int] = []
     for p in range(n):
         # Any new basis vector with most significant bit p is 2^p + r with
@@ -133,9 +131,14 @@ def greedy_code(n: int, d: int) -> BitMatrix:
         else:
             continue
         b = (1 << p) | r
-        basis.append(b)
-        rref, _ = _rref(rref + [b])
-    return BitMatrix(tuple(basis), len(basis), n)
+        yield b
+        rref = _rref(rref + [b])
+
+
+def greedy_code(n: int, d: int) -> BitMatrix:
+    """Binary lexicode of length n and distance >= d: all rows of `_lexicode`."""
+    basis = tuple(_lexicode(n, d))
+    return BitMatrix(basis, len(basis), n)
 
 
 def _systematize(G: BitMatrix) -> BitMatrix:
@@ -195,7 +198,6 @@ class NetworkCode:
 
     G: BitMatrix
     v: tuple[int, ...]
-    _sep_cache: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def k(self) -> int:
@@ -209,12 +211,10 @@ class NetworkCode:
     def rate(self) -> Fraction:
         return Fraction(self.k, self.n)
 
-    @property
+    @cached_property
     def sep(self) -> tuple[int, ...]:
         """Separation vector; computed once and cached."""
-        if not self._sep_cache:
-            self._sep_cache.append(separation_vector(self.G))
-        return self._sep_cache[0]
+        return separation_vector(self.G)
 
     def to_json_dict(self) -> dict:
         flat = [b for row in self.G.to_lists() for b in row]
@@ -268,22 +268,21 @@ def validate_schedule(code: NetworkCode) -> tuple[bool, list[str]]:
     return (not violations, violations)
 
 
+def _scheduled_code(B: BitMatrix) -> NetworkCode:
+    """The systematic form of B with its default schedule."""
+    G = _systematize(B)
+    return network_code(G, default_schedule(G))
+
+
 def code_for_requirements(k: int, d: int) -> NetworkCode:
-    """Smallest-length greedy code covering k sources at distance d."""
+    """Smallest-length greedy code covering k sources at distance d: the
+    first k rows of one lexicode pass, cut at the k-th row's top bit."""
     if k < 1 or d < 1:
         raise ValueError("require k >= 1 and d >= 1")
-    for n in range(max(k, d), k * d + 1):
-        B = greedy_code(n, d)
-        if B.rows < k:
-            continue
-        dropped = B.rows > k
-        G = BitMatrix(B.row_masks[:k], k, n)
-        G = _systematize(G)
-        code = network_code(G, default_schedule(G))
-        if dropped and min(code.sep) < d:
-            continue
-        return code
-    raise RuntimeError("unreachable: repetition bound guarantees n <= k*d")
+    rows = tuple(islice(_lexicode(k * d, d), k))
+    if len(rows) < k:  # the repetition code bounds n by k*d
+        raise RuntimeError(f"fewer than {k} rows at distance {d} below bit {k * d}")
+    return _scheduled_code(BitMatrix(rows, k, rows[-1].bit_length()))
 
 
 def puncture(code: NetworkCode, drop: Sequence[int]) -> NetworkCode:

@@ -17,20 +17,21 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
-from .channel import FadingModel, SncPolicy, simulate_rounds
-from .decoders import MAP_SIZE_LIMIT, decode_with_mode_batch
+from .channel import FADING_MODES, FadingModel, SncPolicy, simulate_rounds
+from .decoders import DECODE_MODES, DECODERS, MAP_SIZE_LIMIT, decode_with_mode_batch
 from .design import (
     NetworkCode,
     TradeoffPoint,
     code_for_requirements,
-    greedy_code,
-    rate_advantage,
     repetition_baseline,
     separation_vector,
+    validate_schedule,
+    _lexicode,
     _systematize,
 )
 from .gf2 import BitMatrix
@@ -87,11 +88,11 @@ class SimConfig:
             raise ConfigError("sp_iters must be >= 1")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be >= 0")
-        if self.decoder not in ("map", "sp"):
+        if self.decoder not in DECODERS:
             raise ConfigError(f"unknown decoder {self.decoder!r}")
-        if self.mode not in ("optimal", "genie", "naive"):
+        if self.mode not in DECODE_MODES:
             raise ConfigError(f"unknown decode mode {self.mode!r}")
-        if self.fading_mode not in ("block_iid", "per_source_static"):
+        if self.fading_mode not in FADING_MODES:
             raise ConfigError(f"unknown fading mode {self.fading_mode!r}")
         if self.decoder == "map" and self.code.k + self.code.n > MAP_SIZE_LIMIT:
             raise ConfigError(
@@ -110,7 +111,10 @@ class SimConfig:
             raise ConfigError("config has both 'code' and 'design'; give one")
         try:
             if "code" in obj:
-                code = NetworkCode.from_json_dict(obj["code"])
+                try:
+                    code = NetworkCode.from_json_dict(obj["code"])
+                except ValueError as exc:
+                    raise ConfigError(f"code: {exc}") from exc
             elif "design" in obj:
                 req = obj["design"]
                 code = code_for_requirements(_design_int(req, "k"),
@@ -201,6 +205,9 @@ def run_sweep(config: SimConfig) -> list[BerRecord]:
     bit has accumulated min_errors_per_bit errors or max_trials rounds
     have been spent (such points are flagged "capped").
     """
+    ok, violations = validate_schedule(config.code)
+    if not ok:
+        raise ConfigError("code.v: invalid schedule: " + "; ".join(violations))
     workers = _worker_count()
     k = config.code.k
     records: list[BerRecord] = []
@@ -296,41 +303,41 @@ class TradeoffRow:
     advantage: float
 
 
-def _greedy_point(k: int, n: int) -> tuple[TradeoffPoint, int]:
-    """Best-distance greedy (sub)code with k rows at length n."""
-    for d in range(n, 0, -1):
-        B = greedy_code(n, d)
-        if B.rows >= k:
-            G = _systematize(BitMatrix(B.row_masks[:k], k, n))
-            sep = separation_vector(G)
-            return TradeoffPoint(Fraction(k, n), min(sep), max(sep),
-                                 sum(sep) / k), d
-    raise ValueError("no code found")  # unreachable for n >= k >= 1
-
-
 def tradeoff_table(k: int, n_range: Sequence[int] | None = None,
                    d_range: Sequence[int] | None = None) -> list[TradeoffRow]:
-    """Greedy-vs-repetition trade-off rows over a length or distance range."""
+    """Greedy-vs-repetition trade-off rows over a length or distance range.
+
+    By length, n takes the largest d at which the greedy code of length n
+    has k rows: lexicodes are nested in n, so one pass per d, stopped at
+    its k-th row, serves every n.
+    """
     if (n_range is None) == (d_range is None):
         raise ValueError("provide exactly one of n_range or d_range")
+    if not (n_range or d_range):
+        raise ValueError("empty range")
     rows = []
     if n_range is not None:
-        if not n_range:
-            raise ValueError("empty range")
+        if min(n_range) < k:
+            raise ValueError(f"length {min(n_range)} is below k={k}")
+        top = max(n_range)
+        prefixes = [tuple(islice(_lexicode(top, d), k)) for d in range(1, top + 1)]
         for n in n_range:
-            greedy, d = _greedy_point(k, n)
-            rep = repetition_baseline(k, n)
-            rows.append(TradeoffRow(k, n, d, greedy, rep, rate_advantage(k, d)))
+            # the k-th row's top bit is the shortest length for k rows at d
+            d = max(d for d, p in enumerate(prefixes, 1)
+                    if len(p) == k and p[-1].bit_length() <= n)
+            p = prefixes[d - 1]
+            sep = separation_vector(_systematize(BitMatrix(p, k, n)))
+            greedy = TradeoffPoint(Fraction(k, n), min(sep), max(sep), sum(sep) / k)
+            rows.append(TradeoffRow(k, n, d, greedy, repetition_baseline(k, n),
+                                    float(Fraction(k * d, p[-1].bit_length()))))
     else:
-        if not d_range:
-            raise ValueError("empty range")
         for d in d_range:
             code = code_for_requirements(k, d)
             sep = code.sep
             greedy = TradeoffPoint(code.rate, min(sep), max(sep), sum(sep) / k)
             rep = repetition_baseline(k, k * d)
             rows.append(TradeoffRow(k, code.n, d, greedy, rep,
-                                    rate_advantage(k, d)))
+                                    float(code.rate * d)))
     return rows
 
 
@@ -352,19 +359,12 @@ def records_to_csv(records: Sequence[BerRecord], fp) -> None:
 
 
 def records_from_csv(fp) -> list[BerRecord]:
-    reader = csv.DictReader(fp)
-    grouped: dict[float, BerRecord] = {}
-    order: list[float] = []
-    rows: dict[float, list[dict]] = {}
-    for row in reader:
-        snr = float(row["snr_db"])
-        if snr not in rows:
-            rows[snr] = []
-            order.append(snr)
-        rows[snr].append(row)
+    rows: dict[float, list[dict]] = {}  # in first-seen SNR order
+    for row in csv.DictReader(fp):
+        rows.setdefault(float(row["snr_db"]), []).append(row)
     records = []
-    for snr in order:
-        group = sorted(rows[snr], key=lambda r: int(r["source"]))
+    for snr, group in rows.items():
+        group = sorted(group, key=lambda r: int(r["source"]))
         errors = np.array([int(r["errors"]) for r in group], dtype=np.int64)
         records.append(BerRecord(snr, int(group[0]["trials"]), errors,
                                  group[0]["flags"]))

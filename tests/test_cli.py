@@ -126,8 +126,8 @@ def test_simulate_invalid_config(capsys, tmp_path):
     assert "increasing" in err
 
 
-def _write_config(tmp_path, code, **over):
-    cfg = {"code": code.to_json_dict(), "snr_grid_db": [2.0],
+def _write_config(tmp_path, network, **over):
+    cfg = {"code": network.to_json_dict(), "snr_grid_db": [2.0],
            "decoder": "sp", "min_errors_per_bit": 5, "max_trials": 6000,
            "batch_size": 2000}
     cfg.update(over)
@@ -177,6 +177,31 @@ def test_simulate_rejects_bad_thread_count(capsys, tmp_path, monkeypatch,
     code, out, err = run_cli(capsys, "simulate", "--config", str(path))
     assert code == 2
     assert "NETCODE_THREADS" in err
+    assert out == ""
+
+
+def test_simulate_rejects_malformed_inline_code(capsys, tmp_path, code1):
+    bad = code1.to_json_dict()
+    bad["G"] = bad["G"][:-1]  # not k*n entries
+    path = _write_config(tmp_path, code1, code=bad)
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 2
+    assert "code: G array length" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("over, violation", [
+    ({"v": [1, 2, 4, 1, 2, 3]}, "transmitter 4 outside 1..3"),
+    ({"v": [1, 2, 3, 1, 2, 1]}, "zero encoding coefficient"),
+    # slot 0 combines sources 1 and 2 before source 2 has transmitted
+    ({"k": 2, "n": 3, "G": [1, 1, 0, 1, 0, 1], "v": [1, 2, 2]},
+     "causality violation"),
+])
+def test_simulate_rejects_invalid_schedule(capsys, tmp_path, code1, over, violation):
+    path = _write_config(tmp_path, code1, code={**code1.to_json_dict(), **over})
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 2
+    assert "code.v" in err and violation in err
     assert out == ""
 
 

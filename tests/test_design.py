@@ -1,4 +1,5 @@
 import itertools
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -137,6 +138,15 @@ def test_greedy_code_rejects_bad_parameters():
         greedy_code(3, 0)
 
 
+def test_greedy_code_rows_are_nested_in_length():
+    """The row admitted at bit p depends only on the bits below p, so
+    each lexicode's rows start the next length's."""
+    for d in range(1, 6):
+        for n in range(d, 14):
+            short = greedy_code(n, d).row_masks
+            assert greedy_code(n + 1, d).row_masks[:len(short)] == short
+
+
 def test_greedy_code_larger_instance_is_fast():
     G = greedy_code(30, 3)
     assert G.rows == 25
@@ -251,6 +261,17 @@ def test_network_code_json_roundtrip(code2):
     assert restored.sep == (3, 2, 2)
 
 
+def test_network_code_sep_is_cached_and_pickles(code2):
+    code = network_code(code2.G, code2.v)
+    assert code.sep is code.sep
+    restored = pickle.loads(pickle.dumps(code))
+    assert restored == code and restored.sep == code.sep
+    # the cache is not a field: equality and hashing see only G and v
+    fresh = network_code(code2.G, code2.v)
+    assert fresh == code and hash(fresh) == hash(code)
+    assert "sep" not in repr(code)
+
+
 def test_network_code_schedule_length_checked(code1):
     with pytest.raises(ValueError):
         network_code(code1.G, [1, 2, 3])
@@ -326,6 +347,29 @@ def test_code_for_requirements_meets_distance_generally():
         assert k <= code.n <= k * d
         ok, violations = validate_schedule(code)
         assert ok, violations
+
+
+def _code_by_search_over_lengths(k, d):
+    """The search that built a fresh lexicode at every length from
+    max(k, d) up, re-checking the distance when rows were dropped."""
+    for n in range(max(k, d), k * d + 1):
+        B = greedy_code(n, d)
+        if B.rows < k:
+            continue
+        G = _systematize(BitMatrix(B.row_masks[:k], k, n))
+        code = network_code(G, default_schedule(G))
+        if B.rows > k and min(code.sep) < d:
+            continue
+        return code
+    raise AssertionError(f"no length up to {k * d} has {k} rows")
+
+
+def test_code_for_requirements_matches_search_over_lengths():
+    for d in range(1, 5):
+        for k in range(1, 13):
+            code = code_for_requirements(k, d)
+            assert code == _code_by_search_over_lengths(k, d), (k, d)
+            assert min(code.sep) >= d
 
 
 def test_code_for_requirements_rejects_bad_args():

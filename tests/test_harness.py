@@ -2,12 +2,22 @@ import io
 import json
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from netcode.channel import snc_threshold
-from netcode.design import repetition_code
+from netcode.design import (
+    TradeoffPoint,
+    greedy_code,
+    rate_advantage,
+    repetition_baseline,
+    repetition_code,
+    separation_vector,
+    _systematize,
+)
+from netcode.gf2 import BitMatrix
 from netcode.harness import (
     BerRecord,
     ConfigError,
@@ -19,6 +29,7 @@ from netcode.harness import (
     records_to_json_lines,
     run_sweep,
     tradeoff_table,
+    TradeoffRow,
     _worker_count,
 )
 
@@ -277,6 +288,31 @@ def test_tradeoff_table_by_length():
     # greedy separation never loses to repetition on the average
     for r in rows:
         assert r.greedy.d_avg >= r.repetition.d_avg - 1e-12
+
+
+def _row_by_walk_down_distance(k, n):
+    """The trade-off row at length n from a fresh lexicode of length n
+    per distance, walking d down from n until one has k rows."""
+    for d in range(n, 0, -1):
+        B = greedy_code(n, d)
+        if B.rows >= k:
+            sep = separation_vector(_systematize(BitMatrix(B.row_masks[:k], k, n)))
+            greedy = TradeoffPoint(Fraction(k, n), min(sep), max(sep), sum(sep) / k)
+            return TradeoffRow(k, n, d, greedy, repetition_baseline(k, n),
+                               rate_advantage(k, d))
+    raise AssertionError(f"no distance gives {k} rows at length {n}")
+
+
+def test_tradeoff_table_by_length_matches_walk_down_distance():
+    for k in range(1, 5):
+        lengths = range(k, 13)
+        assert tradeoff_table(k, n_range=lengths) == [
+            _row_by_walk_down_distance(k, n) for n in lengths]
+
+
+def test_tradeoff_table_rejects_length_below_k():
+    with pytest.raises(ValueError, match="length 2"):
+        tradeoff_table(3, n_range=[4, 2, 5])
 
 
 def test_tradeoff_table_argument_validation():
