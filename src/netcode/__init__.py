@@ -2,14 +2,7 @@
 detect-and-forward relay simulation over Rayleigh fading, and MAP /
 sum-product decoding with relay reliability information."""
 
-from .gf2 import (
-    BitMatrix,
-    BitVector,
-    column_select,
-    hamming_weight,
-    is_systematic_prefix,
-    mat_vec_mul,
-)
+from .gf2 import BitMatrix, column_select, is_systematic_prefix
 from .design import (
     NetworkCode,
     TradeoffPoint,
@@ -35,8 +28,6 @@ from .channel import (
     snc_threshold,
 )
 from .decoders import (
-    TannerGraph,
-    build_tanner_graph,
     channel_llr,
     decode_with_mode_batch,
     llr_chat,

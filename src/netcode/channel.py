@@ -8,7 +8,6 @@ gains, noise) so a seeded round is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import erfc
@@ -23,7 +22,6 @@ __all__ = [
     "link_error_prob",
     "snc_threshold",
     "combine_reliability",
-    "relay_pairs",
     "simulate_rounds",
 ]
 
@@ -53,9 +51,6 @@ class SncPolicy:
 
     enabled: bool = False
 
-    def threshold(self, mean_snr: float) -> float:
-        return snc_threshold(mean_snr)
-
 
 def q_function(x):
     """Gaussian tail probability Q(x)."""
@@ -77,29 +72,14 @@ def snc_threshold(mean_snr: float) -> float:
     return 0.5 * (1.0 - np.sqrt(mean_snr / (1.0 + mean_snr)))
 
 
-def combine_reliability(per_source_errs: Sequence[float]) -> float:
+def combine_reliability(per_source_errs):
     """Probability that an odd number of the given independent detection
-    errors occurred (error probability of the XOR combination)."""
+    errors occurred (error probability of the XOR combination), reduced
+    over the last axis."""
     p = np.asarray(per_source_errs, dtype=float)
     if np.any((p < 0) | (p > 0.5)):
         raise ValueError("detection error probabilities must lie in [0, 1/2]")
-    return float((1.0 - np.prod(1.0 - 2.0 * p)) / 2.0)
-
-
-def relay_pairs(code: NetworkCode) -> list[tuple[int, int]]:
-    """Distinct (source, relay) detection pairs used within one round.
-
-    Sources are 0-based; relays are 1-based node labels from the
-    schedule.  A relay detects each source once and reuses the estimate
-    in every slot where it combines that source.
-    """
-    pairs = set()
-    for j in range(code.n):
-        relay = code.v[j]
-        for i in range(code.k):
-            if i != relay - 1 and code.G.entry(i, j):
-                pairs.add((i, relay))
-    return sorted(pairs)
+    return (1.0 - np.prod(1.0 - 2.0 * p, axis=-1)) / 2.0
 
 
 @dataclass
@@ -152,7 +132,7 @@ def simulate_rounds(
         if u.shape != (batch, k):
             raise ValueError(f"data array must have shape ({batch}, {k})")
 
-    pairs = relay_pairs(code)
+    pairs = code.relay_pairs
     P = len(pairs)
     if genie:
         pair_err_prob = np.zeros((batch, P))
@@ -164,30 +144,21 @@ def simulate_rounds(
         uni = rng.random(size=(batch, P)) if P else np.zeros((batch, 0))
         pair_err = (uni < pair_err_prob).astype(np.uint8)
         if snc.enabled:
-            kept = pair_err_prob < snc.threshold(fading.mean_snr)
+            kept = pair_err_prob < snc_threshold(fading.mean_snr)
         else:
             kept = np.ones((batch, P), dtype=bool)
 
     # instantaneous generator matrix after selective encoding
     g_eff = np.broadcast_to(G, (batch, k, n)).copy()
-    pair_index = {pr: idx for idx, pr in enumerate(pairs)}
     e = np.zeros((batch, n), dtype=np.uint8)
     p_e = np.zeros((batch, n))
-    for j in range(n):
-        relay = code.v[j]
-        slot_pairs = [pair_index[(i, relay)]
-                      for i in range(k)
-                      if i != relay - 1 and G[i, j]]
-        if not slot_pairs:
+    for j, slot in enumerate(code.slot_pairs):
+        if not slot:
             continue
-        keep_j = kept[:, slot_pairs]              # (B, m)
-        for col, idx in enumerate(slot_pairs):
-            src = pairs[idx][0]
-            g_eff[:, src, j] = keep_j[:, col].astype(np.uint8)
-        probs = np.where(keep_j, pair_err_prob[:, slot_pairs], 0.0)
-        p_e[:, j] = (1.0 - np.prod(1.0 - 2.0 * probs, axis=1)) / 2.0
-        errs = np.where(keep_j, pair_err[:, slot_pairs], 0)
-        e[:, j] = errs.sum(axis=1) % 2
+        keep_j = kept[:, slot]                    # (B, m)
+        g_eff[:, [pairs[idx][0] for idx in slot], j] = keep_j
+        p_e[:, j] = combine_reliability(np.where(keep_j, pair_err_prob[:, slot], 0.0))
+        e[:, j] = np.where(keep_j, pair_err[:, slot], 0).sum(axis=1) % 2
 
     c = np.einsum("bk,bkn->bn", u, g_eff) % 2
     c = c.astype(np.uint8)
@@ -209,5 +180,5 @@ def simulate_rounds(
     y = h * s + w
 
     return RoundBatch(code=code, u=u, c=c, e=e, c_hat=c_hat, p_e=p_e, h=h, y=y,
-                      g_eff=g_eff, pairs=pairs, pair_err_prob=pair_err_prob,
+                      g_eff=g_eff, pairs=list(pairs), pair_err_prob=pair_err_prob,
                       pair_err=pair_err, pair_kept=kept, error_free=genie)

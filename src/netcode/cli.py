@@ -92,7 +92,12 @@ def _cmd_design(args) -> int:
     if args.n is not None:
         if args.n < args.d:
             raise ConfigError(f"--n {args.n} is below --d {args.d}")
-        code = _scheduled_code(greedy_code(args.n, args.d))
+        B = greedy_code(args.n, args.d)
+        used = max(B.row_masks).bit_length()
+        if used < args.n:
+            raise ConfigError(f"--n {args.n}: the greedy code at distance {args.d} "
+                              f"leaves slots empty; it uses n = {used}")
+        code = _scheduled_code(B)
     else:
         code = code_for_requirements(args.k, args.d)
     fp, close = _open_out(args.output)

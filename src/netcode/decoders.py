@@ -7,16 +7,12 @@ a RoundBatch and return per-round arrays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import RoundBatch
 from .design import NetworkCode
 
 __all__ = [
-    "TannerGraph",
-    "build_tanner_graph",
     "llr_chat",
     "channel_llr",
     "map_decode_batch",
@@ -32,35 +28,6 @@ MAP_SIZE_LIMIT = 26
 # cannot overflow while leaving hard decisions untouched.
 LLR_CLAMP = 40.0
 _ATANH_EPS = 1e-15
-
-
-@dataclass(frozen=True)
-class TannerGraph:
-    """Bipartite structure for sum-product decoding.
-
-    Check j connects coded variable c_j (degree 1 there) and the source
-    variables listed in check_sources[j].
-    """
-
-    k: int
-    n: int
-    check_sources: tuple[tuple[int, ...], ...]
-
-    @property
-    def num_variables(self) -> int:
-        return self.k + self.n
-
-    @property
-    def num_checks(self) -> int:
-        return self.n
-
-
-def build_tanner_graph(code: NetworkCode) -> TannerGraph:
-    k, n = code.k, code.n
-    checks = tuple(
-        tuple(i for i in range(k) if code.G.entry(i, j)) for j in range(n)
-    )
-    return TannerGraph(k, n, checks)
 
 
 def llr_chat(y, h, noise):
@@ -165,7 +132,8 @@ def sp_decode_batch(
     """Sum-product decoding with a flooding schedule and a fixed number
     of iterations (no early termination).
 
-    Messages live on the edges of the code's Tanner graph, one row of
+    Messages live on the edges of the code's Tanner graph (check j ties
+    coded bit j to the sources of `code.check_sources[j]`), one row of
     rounds per edge; an edge that selective encoding dropped from a
     round carries no message in that round.  Coded variables have
     degree 1, so their messages into the checks are the composite
@@ -173,7 +141,7 @@ def sp_decode_batch(
     ties (LLR exactly 0) decide 0.
     """
     _check_batch(batch, noise)
-    checks = build_tanner_graph(code).check_sources
+    checks = code.check_sources
     chk = [j for j, srcs in enumerate(checks) for _ in srcs]  # edges by check,
     src = [i for srcs in checks for i in srcs]                 # then by source
     L = llr_chat(batch.y, batch.h, noise)          # (B, n)

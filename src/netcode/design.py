@@ -194,7 +194,12 @@ def default_schedule(G: BitMatrix) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class NetworkCode:
-    """A (k, n) generator matrix with its transmit schedule."""
+    """A (k, n) generator matrix with its transmit schedule.
+
+    Everything else about the code (separation vector, Tanner checks,
+    relay detections) follows from these two; it is derived on first use
+    and cached, outside the fields that equality and hashing see.
+    """
 
     G: BitMatrix
     v: tuple[int, ...]
@@ -215,6 +220,32 @@ class NetworkCode:
     def sep(self) -> tuple[int, ...]:
         """Separation vector; computed once and cached."""
         return separation_vector(self.G)
+
+    @cached_property
+    def check_sources(self) -> tuple[tuple[int, ...], ...]:
+        """Sources combined in each slot (0-based): check j of the Tanner
+        graph ties coded bit j to these source bits."""
+        return tuple(tuple(i for i, m in enumerate(self.G.row_masks) if m >> j & 1)
+                     for j in range(self.n))
+
+    @cached_property
+    def relay_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Distinct (source, relay) detections within one round, sorted.
+
+        Sources are 0-based; relays are 1-based node labels from the
+        schedule.  A relay detects each source once and reuses the
+        estimate in every slot where it combines that source.
+        """
+        return tuple(sorted({(i, relay) for relay, srcs in zip(self.v, self.check_sources)
+                             for i in srcs if i != relay - 1}))
+
+    @cached_property
+    def slot_pairs(self) -> tuple[tuple[int, ...], ...]:
+        """For each slot, the indices into `relay_pairs` of the detections
+        its relay combines there, by source."""
+        index = {pair: idx for idx, pair in enumerate(self.relay_pairs)}
+        return tuple(tuple(index[i, relay] for i in srcs if i != relay - 1)
+                     for relay, srcs in zip(self.v, self.check_sources))
 
     def to_json_dict(self) -> dict:
         flat = [b for row in self.G.to_lists() for b in row]

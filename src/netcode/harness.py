@@ -320,7 +320,10 @@ def tradeoff_table(k: int, n_range: Sequence[int] | None = None,
         if min(n_range) < k:
             raise ValueError(f"length {min(n_range)} is below k={k}")
         top = max(n_range)
-        prefixes = [tuple(islice(_lexicode(top, d), k)) for d in range(1, top + 1)]
+        # a d whose Griesmer length exceeds top cannot have k rows below it
+        prefixes = [tuple(islice(_lexicode(top, d), k))
+                    if sum(-(-d // 2**i) for i in range(k)) <= top else ()
+                    for d in range(1, top + 1)]
         for n in n_range:
             # the k-th row's top bit is the shortest length for k rows at d
             d = max(d for d, p in enumerate(prefixes, 1)

@@ -11,7 +11,6 @@ from netcode.channel import (
     combine_reliability,
     link_error_prob,
     q_function,
-    relay_pairs,
     simulate_rounds,
     snc_threshold,
 )
@@ -84,6 +83,14 @@ def test_combine_reliability_matches_bernoulli_oracle():
                     prob *= p if b else 1 - p
                 odd += prob
         assert combine_reliability(ps.tolist()) == pytest.approx(odd, abs=1e-12)
+    # a 2-D input is reduced over its last axis, one combination per row
+    ps = rng.uniform(0, 0.5, (6, 3))
+    got = combine_reliability(ps)
+    assert got.shape == (6,)
+    for row, p in zip(ps, got):
+        odd = sum(math.prod(q if b else 1 - q for b, q in zip(bits, row))
+                  for bits in itertools.product([0, 1], repeat=3) if sum(bits) % 2)
+        assert p == pytest.approx(odd, abs=1e-12)
 
 
 # ------------------------------------------------------------- configuration
@@ -97,17 +104,17 @@ def test_fading_model_validation():
         FadingModel("block_iid", 0.0)
 
 
-def test_snc_policy_threshold_delegates():
-    assert SncPolicy(True).threshold(1.0) == snc_threshold(1.0)
-
-
 def test_relay_pairs_examples(net34, rep36, code1, code3):
     # 3x4 network: node 3 detects source 1 (slot 2), node 2 detects
     # source 1 (slot 3)
-    assert relay_pairs(net34) == [(0, 2), (0, 3)]
-    assert relay_pairs(rep36) == []
-    assert relay_pairs(code1) == [(0, 2), (1, 3), (2, 1)]
-    assert relay_pairs(code3) == [(0, 2), (1, 1), (1, 3), (2, 1)]
+    assert list(net34.relay_pairs) == [(0, 2), (0, 3)]
+    assert list(rep36.relay_pairs) == []
+    assert list(code1.relay_pairs) == [(0, 2), (1, 3), (2, 1)]
+    assert list(code3.relay_pairs) == [(0, 2), (1, 1), (1, 3), (2, 1)]
+    # each slot indexes the detections its relay combines there
+    assert net34.slot_pairs == ((), (), (1,), (0,))
+    assert rep36.slot_pairs == ((),) * 6
+    assert code3.slot_pairs == ((), (), (), (3,), (0,), (2,), (1, 3))
 
 
 # ----------------------------------------------------------------- mechanics
@@ -129,7 +136,7 @@ def test_simulate_round_shapes(code1):
     assert batch.p_e.shape == batch.h.shape == batch.y.shape == (1, 6)
     assert batch.g_eff.shape == (1, 3, 6)
     assert ((batch.c ^ batch.e) == batch.c_hat).all()
-    assert batch.pairs == relay_pairs(code1)
+    assert batch.pairs == list(code1.relay_pairs)
 
 
 def test_simulate_round_wrong_data_length(code1):

@@ -37,6 +37,15 @@ def test_design_by_length_and_distance(capsys):
     assert obj["sep"] == [4, 4, 4]
 
 
+def test_design_by_length_rejects_empty_slots(capsys):
+    """The greedy code of length 4 at distance 3 is the repetition code
+    on three slots; the fourth would carry nothing."""
+    code, out, err = run_cli(capsys, "design", "--n", "4", "--d", "3")
+    assert code == 2
+    assert out == ""
+    assert "--n 4" in err and "n = 3" in err
+
+
 def test_design_requires_k_or_n(capsys):
     code, _, err = run_cli(capsys, "design", "--d", "3")
     assert code == 2

@@ -18,7 +18,7 @@ from netcode.design import (
     validate_schedule,
     _systematize,
 )
-from netcode.gf2 import BitMatrix, BitVector, is_systematic_prefix, mat_vec_mul
+from netcode.gf2 import BitMatrix, is_systematic_prefix
 
 from conftest import (
     CODE1_ROWS,
@@ -28,6 +28,15 @@ from conftest import (
     REP36_ROWS,
     separation_oracle,
 )
+
+
+def _codeword(u: int, G: BitMatrix) -> int:
+    """uG over GF(2): the XOR of the rows whose bit is set in u."""
+    c = 0
+    for i, m in enumerate(G.row_masks):
+        if u >> i & 1:
+            c ^= m
+    return c
 
 
 # ---------------------------------------------------------------- separation
@@ -75,9 +84,7 @@ def test_separation_min_is_code_distance():
         G = BitMatrix.from_rows(rows)
         if any(m == 0 for m in G.row_masks):
             continue
-        weights = [
-            mat_vec_mul(BitVector(u, k), G).weight() for u in range(1, 1 << k)
-        ]
+        weights = [_codeword(u, G).bit_count() for u in range(1, 1 << k)]
         if 0 in weights:  # rank-deficient; min distance undefined as coded
             continue
         assert min(separation_vector(G)) == min(weights)
@@ -85,13 +92,6 @@ def test_separation_min_is_code_distance():
 
 
 # -------------------------------------------------------------- greedy codes
-
-def _min_distance(G: BitMatrix) -> int:
-    return min(
-        mat_vec_mul(BitVector(u, G.rows), G).weight()
-        for u in range(1, 1 << G.rows)
-    )
-
 
 def test_greedy_code_distance_one_is_identity():
     for n in range(1, 8):
@@ -117,9 +117,7 @@ def test_greedy_code_meets_distance_and_is_maximal():
     for n, d in [(5, 2), (6, 3), (7, 3), (8, 4), (9, 2)]:
         G = greedy_code(n, d)
         k = G.rows
-        codewords = {
-            mat_vec_mul(BitVector(u, k), G).bits for u in range(1 << k)
-        }
+        codewords = {_codeword(u, G) for u in range(1 << k)}
         assert all(
             bin(a ^ b).count("1") >= d
             for a, b in itertools.combinations(codewords, 2)
@@ -169,7 +167,7 @@ def test_systematize_random_full_rank():
         n = int(rng.integers(k, 12))
         rows = rng.integers(0, 2, (k, n))
         # GF(2) rank via elimination (real rank is not a valid proxy)
-        work = [BitVector.from_bits(r.tolist()).bits for r in rows]
+        work = list(BitMatrix.from_rows(rows.tolist()).row_masks)
         rank = 0
         for col in range(n):
             piv = next((i for i in range(rank, k) if work[i] >> col & 1), None)
@@ -261,15 +259,22 @@ def test_network_code_json_roundtrip(code2):
     assert restored.sep == (3, 2, 2)
 
 
+CACHED = ("sep", "check_sources", "relay_pairs", "slot_pairs")
+
+
 def test_network_code_sep_is_cached_and_pickles(code2):
     code = network_code(code2.G, code2.v)
-    assert code.sep is code.sep
+    for name in CACHED:
+        assert getattr(code, name) is getattr(code, name)
     restored = pickle.loads(pickle.dumps(code))
-    assert restored == code and restored.sep == code.sep
-    # the cache is not a field: equality and hashing see only G and v
+    assert restored == code
+    for name in CACHED:
+        assert name in vars(restored)  # carried over, not recomputed
+        assert getattr(restored, name) == getattr(code, name)
+    # the caches are not fields: equality and hashing see only G and v
     fresh = network_code(code2.G, code2.v)
     assert fresh == code and hash(fresh) == hash(code)
-    assert "sep" not in repr(code)
+    assert all(name not in repr(code) for name in CACHED)
 
 
 def test_network_code_schedule_length_checked(code1):
