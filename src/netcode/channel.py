@@ -86,7 +86,6 @@ def combine_reliability(per_source_errs):
 class RoundBatch:
     """Vectorized batch of simulated rounds (leading axis = round)."""
 
-    code: NetworkCode
     u: np.ndarray            # (B, k) data bits
     c: np.ndarray            # (B, n) error-free codeword under g_eff
     e: np.ndarray            # (B, n) realized relay errors
@@ -139,9 +138,9 @@ def simulate_rounds(
         pair_err = np.zeros((batch, P), dtype=np.uint8)
         kept = np.ones((batch, P), dtype=bool)
     else:
-        gammas = rng.exponential(fading.mean_snr, size=(batch, P)) if P else np.zeros((batch, 0))
+        gammas = rng.exponential(fading.mean_snr, size=(batch, P))
         pair_err_prob = link_error_prob(gammas)
-        uni = rng.random(size=(batch, P)) if P else np.zeros((batch, 0))
+        uni = rng.random(size=(batch, P))
         pair_err = (uni < pair_err_prob).astype(np.uint8)
         if snc.enabled:
             kept = pair_err_prob < snc_threshold(fading.mean_snr)
@@ -179,6 +178,6 @@ def simulate_rounds(
     s = 1.0 - 2.0 * c_hat
     y = h * s + w
 
-    return RoundBatch(code=code, u=u, c=c, e=e, c_hat=c_hat, p_e=p_e, h=h, y=y,
+    return RoundBatch(u=u, c=c, e=e, c_hat=c_hat, p_e=p_e, h=h, y=y,
                       g_eff=g_eff, pairs=list(pairs), pair_err_prob=pair_err_prob,
                       pair_err=pair_err, pair_kept=kept, error_free=genie)

@@ -81,15 +81,6 @@ def map_decode_batch(batch: RoundBatch, code: NetworkCode, noise: float = 1.0,
     if k + n > MAP_SIZE_LIMIT:
         raise ValueError(f"k + n = {k + n} exceeds MAP guard {MAP_SIZE_LIMIT}")
     _check_batch(batch, noise)
-    half = llr_chat(batch.y, batch.h, noise) / 2.0  # (B, n)
-    # relay error marginalized per slot, (1-p) e^{+-L/2} + p e^{-+L/2},
-    # for coded bit 0 and bit 1
-    with np.errstate(divide="ignore"):
-        log_ok = np.log1p(-batch.p_e)
-        log_err = np.log(batch.p_e)
-    term0 = np.logaddexp(log_ok + half, log_err - half)
-    term1 = np.logaddexp(log_ok - half, log_err + half)
-
     # codeword tables: hypothesis m carries u_i = (m >> i) & 1, so the
     # codewords of m in [2^i, 2^(i+1)) are those of m - 2^i XOR row i.
     # Without selective encoding every round shares one generator matrix.
@@ -100,10 +91,12 @@ def map_decode_batch(batch: RoundBatch, code: NetworkCode, noise: float = 1.0,
     cu = np.zeros((len(g), M, n))
     for i in range(k):
         np.not_equal(cu[:, :1 << i], g[:, i, None, :], out=cu[:, 1 << i:2 << i])
-    # log-likelihood of each hypothesis, up to a per-round constant (the
-    # thin products go through einsum: BLAS threads only contend here)
+    # log-likelihood of each hypothesis, up to a per-round constant: minus
+    # the slot LLRs (relay errors marginalized) summed over its coded 1s
+    # (the thin products go through einsum: BLAS threads only contend here)
     cu = np.broadcast_to(cu, (len(batch), M, n))
-    score = np.einsum("bmn,bn->bm", cu, term1 - term0)
+    lam = channel_llr(llr_chat(batch.y, batch.h, noise), batch.p_e)  # (B, n)
+    score = np.einsum("bmn,bn->bm", cu, -lam)
     score -= score.max(axis=1, keepdims=True)
     like = np.exp(score)
     U = ((np.arange(M)[:, None] >> np.arange(k)) & 1).astype(float)  # (M, k) data bits

@@ -7,7 +7,6 @@ they are computed exactly by enumerating error data vectors.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -65,28 +64,12 @@ def separation_vector(G: BitMatrix) -> tuple[int, ...]:
     return tuple(d)
 
 
-def _rref(masks: list[int]) -> list[int]:
-    """Reduced row echelon form over GF(2), pivoting on the highest set bit;
-    the reduced masks sorted by descending pivot."""
-    # eliminate top-down
-    reduced: list[int] = []
-    for m in masks:
-        for r in reduced:
-            if m & (1 << (r.bit_length() - 1)):
-                m ^= r
-        if m:
-            # clear this pivot from earlier rows
-            p = 1 << (m.bit_length() - 1)
-            reduced = [r ^ m if r & p else r for r in reduced]
-            reduced.append(m)
-    reduced.sort(key=int.bit_length, reverse=True)
-    return reduced
-
-
-def _coset_rep(x: int, rref_rows: list[int]) -> int:
-    """Canonical representative of x modulo the span of rref_rows."""
-    for r in rref_rows:
-        if x & (1 << (r.bit_length() - 1)):
+def _coset_rep(x: int, rows: list[int]) -> int:
+    """Least element of x's coset modulo the span of rows, given with
+    distinct top bits in ascending order: x reduced by each row, from the
+    top down, until none of their top bits is set."""
+    for r in reversed(rows):
+        if x >> (r.bit_length() - 1) & 1:
             x ^= r
     return x
 
@@ -105,34 +88,31 @@ def _lexicode(n: int, d: int) -> Iterator[int]:
     """
     if not (n >= d >= 1):
         raise ValueError(f"require n >= d >= 1, got n={n}, d={d}")
-    rref: list[int] = []
+    rows: list[int] = []
+    tops = 0  # the rows' top bits
     for p in range(n):
         # Any new basis vector with most significant bit p is 2^p + r with
         # r in [0, 2^p).  It is admitted iff its coset modulo the current
         # span contains no vector of weight <= d-2 (codewords all live
         # below bit p, which contributes weight 1 on its own).
-        t = d - 1  # required minimum coset weight over the low p bits
-        covered = {0} if t >= 1 else set()
-        for ww in range(1, t):
+        covered = {0} if d >= 2 else set()
+        for ww in range(1, d - 1):
             for pos in combinations(range(p), ww):
-                v = 0
-                for b in pos:
-                    v |= 1 << b
-                covered.add(_coset_rep(v, rref))
-        rank = len(rref)
-        if len(covered) == 1 << (p - rank):
-            continue  # every coset contains a low-weight vector
+                covered.add(_coset_rep(sum(1 << b for b in pos), rows))
+        # The least such r is the least element of its coset, so it has
+        # none of the rows' top bits: scan only the submasks of the other
+        # bits below p, in increasing order (Conway & Sloane 1986); the
+        # step (r - free) & free wraps to 0 after the last submask.
+        free = ((1 << p) - 1) & ~tops
         r = 0
-        limit = 1 << p
-        while r < limit:
-            if _coset_rep(r, rref) not in covered:
+        while r in covered:
+            r = (r - free) & free
+            if not r:
                 break
-            r += 1
         else:
-            continue
-        b = (1 << p) | r
-        yield b
-        rref = _rref(rref + [b])
+            yield (1 << p) | r
+            rows.append((1 << p) | r)
+            tops |= 1 << p
 
 
 def greedy_code(n: int, d: int) -> BitMatrix:
@@ -260,13 +240,6 @@ class NetworkCode:
             raise ValueError("G array length does not match k*n")
         rows = [flat[i * n:(i + 1) * n] for i in range(k)]
         return network_code(BitMatrix.from_rows(rows, n), obj["v"])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "NetworkCode":
-        return cls.from_json_dict(json.loads(text))
 
 
 def network_code(G: BitMatrix, v: Sequence[int]) -> NetworkCode:

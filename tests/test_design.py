@@ -1,4 +1,5 @@
 import itertools
+import json
 import pickle
 from fractions import Fraction
 
@@ -129,6 +130,37 @@ def test_greedy_code_meets_distance_and_is_maximal():
                 f"vector {cand:0{n}b} was skippable at (n={n}, d={d})"
 
 
+def _literal_lexicode(n, d):
+    """Scan every length-n vector in integer order and admit it when it is
+    at distance >= d from every vector admitted so far."""
+    ball = [v for v in range(1 << n) if bin(v).count("1") < d]
+    blocked = bytearray(1 << n)
+    admitted = []
+    for v in range(1 << n):
+        if not blocked[v]:
+            admitted.append(v)
+            for e in ball:
+                blocked[v ^ e] = 1
+    return admitted
+
+
+def test_greedy_code_equals_literal_lexicode():
+    """The rows are the first admitted vector at each top bit, and their
+    span is exactly the admitted set."""
+    for n in range(1, 13):
+        for d in range(1, n + 1):
+            admitted = _literal_lexicode(n, d)
+            first = {}
+            for v in admitted[1:]:
+                first.setdefault(v.bit_length(), v)
+            rows = greedy_code(n, d).row_masks
+            assert list(rows) == sorted(first.values()), (n, d)
+            span = {0}
+            for r in rows:
+                span |= {x ^ r for x in span}
+            assert span == set(admitted), (n, d)
+
+
 def test_greedy_code_rejects_bad_parameters():
     with pytest.raises(ValueError):
         greedy_code(3, 4)
@@ -253,7 +285,7 @@ def test_network_code_properties(code1):
 def test_network_code_json_roundtrip(code2):
     from netcode.design import NetworkCode
 
-    restored = NetworkCode.from_json(code2.to_json())
+    restored = NetworkCode.from_json_dict(json.loads(json.dumps(code2.to_json_dict())))
     assert restored.G == code2.G
     assert restored.v == code2.v
     assert restored.sep == (3, 2, 2)
