@@ -15,7 +15,6 @@ from .design import (
     repetition_baseline,
     repetition_code,
     separation_vector,
-    validate_schedule,
 )
 from .channel import (
     FadingModel,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .design import NetworkCode, validate_schedule
+from .design import NetworkCode
 
 __all__ = [
     "FadingModel",
@@ -118,9 +118,8 @@ def simulate_rounds(
     With `genie=True` the relays never err: detections are error-free and
     the reported reliabilities are zero (selective encoding never fires).
     """
-    ok, violations = validate_schedule(code)
-    if not ok:
-        raise ValueError("invalid schedule: " + "; ".join(violations))
+    if code.schedule_violations:
+        raise ValueError("invalid schedule: " + "; ".join(code.schedule_violations))
     k, n = code.k, code.n
     G = code.G.to_array()  # (k, n)
 

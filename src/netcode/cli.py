@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+import traceback
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .design import (
+    MAX_SEP_DIMENSION,
     NetworkCode,
     code_for_requirements,
     greedy_code,
-    validate_schedule,
     _scheduled_code,
 )
 from .harness import (
@@ -34,14 +37,17 @@ from .harness import (
 __all__ = ["main", "cli_main"]
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_in(least: int, most: float = math.inf):
+    """An argparse type: an integer in least..most."""
+    def parse(text: str) -> int:
+        try:
+            if least <= (value := int(text)) <= most:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"expected an integer in {least}..{most}, got {text!r}")
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,9 +57,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("design", help="construct a code and emit it as JSON")
     size = d.add_mutually_exclusive_group(required=True)
-    size.add_argument("--k", type=_positive_int, help="number of sources (with --d)")
-    size.add_argument("--n", type=_positive_int, help="number of slots (with --d)")
-    d.add_argument("--d", type=_positive_int, required=True,
+    size.add_argument("--k", type=_int_in(1, MAX_SEP_DIMENSION),
+                      help="number of sources (with --d)")
+    size.add_argument("--n", type=_int_in(1), help="number of slots (with --d)")
+    d.add_argument("--d", type=_int_in(1), required=True,
                    help="target minimum distance")
     d.add_argument("-o", "--output", default="-", help="output path (default stdout)")
 
@@ -67,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="emit JSON lines instead of CSV")
 
     t = sub.add_parser("tradeoff", help="greedy vs repetition trade-off table")
-    t.add_argument("--k", type=_positive_int, required=True)
+    t.add_argument("--k", type=_int_in(1, MAX_SEP_DIMENSION), required=True)
     span = t.add_mutually_exclusive_group(required=True)
     span.add_argument("--n-range", help="inclusive length range lo:hi")
     span.add_argument("--d-range", help="inclusive distance range lo:hi")
@@ -75,17 +82,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sl = sub.add_parser("slope", help="diversity slope from a sweep CSV")
     sl.add_argument("--input", required=True, help="sweep CSV file")
-    sl.add_argument("--source", type=_positive_int, required=True,
+    sl.add_argument("--source", type=_int_in(1), required=True,
                     help="1-based source index")
-    sl.add_argument("--window", type=int, default=3,
+    sl.add_argument("--window", type=_int_in(2), default=3,
                     help="number of top SNR points (default 3)")
     return p
 
 
-def _open_out(path: str):
+@contextmanager
+def _output(path: str):
+    """The stream to write to: stdout for "-", else the file, closed after."""
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+        yield sys.stdout
+    else:
+        with open(path, "w") as fp:
+            yield fp
 
 
 def _cmd_design(args) -> int:
@@ -93,6 +104,9 @@ def _cmd_design(args) -> int:
         if args.n < args.d:
             raise ConfigError(f"--n {args.n} is below --d {args.d}")
         B = greedy_code(args.n, args.d)
+        if B.rows > MAX_SEP_DIMENSION:
+            raise ConfigError(f"--n {args.n}: the greedy code at distance {args.d} "
+                              f"has {B.rows} sources, above {MAX_SEP_DIMENSION}")
         used = max(B.row_masks).bit_length()
         if used < args.n:
             raise ConfigError(f"--n {args.n}: the greedy code at distance {args.d} "
@@ -100,12 +114,8 @@ def _cmd_design(args) -> int:
         code = _scheduled_code(B)
     else:
         code = code_for_requirements(args.k, args.d)
-    fp, close = _open_out(args.output)
-    try:
+    with _output(args.output) as fp:
         fp.write(json.dumps(code.to_json_dict(), indent=2) + "\n")
-    finally:
-        if close:
-            fp.close()
     return 0
 
 
@@ -115,12 +125,11 @@ def _cmd_analyze(args) -> int:
             code = NetworkCode.from_json_dict(json.load(fp))
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         raise ConfigError(f"cannot read code file: {exc}") from exc
-    ok, violations = validate_schedule(code)
     print(f"k = {code.k}, n = {code.n}, rate = {Fraction(code.k, code.n)}")
     print(f"separation vector = {list(code.sep)}")
     print(f"schedule = {list(code.v)}")
-    print(f"schedule valid = {ok}")
-    for v in violations:
+    print(f"schedule valid = {not code.schedule_violations}")
+    for v in code.schedule_violations:
         print(f"  violation: {v}")
     return 0
 
@@ -133,15 +142,11 @@ def _cmd_simulate(args) -> int:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     config = SimConfig.from_json_dict(obj)
     records = run_sweep(config)
-    fp, close = _open_out(args.output)
-    try:
+    with _output(args.output) as fp:
         if args.json:
             records_to_json_lines(records, fp)
         else:
             records_to_csv(records, fp)
-    finally:
-        if close:
-            fp.close()
     return 0
 
 
@@ -162,8 +167,7 @@ def _cmd_tradeoff(args) -> int:
     else:
         rows = tradeoff_table(
             args.k, d_range=_parse_range("--d-range", args.d_range))
-    fp, close = _open_out(args.output)
-    try:
+    with _output(args.output) as fp:
         fp.write("k,n,d,rate,greedy_min,greedy_max,greedy_avg,"
                  "rep_min,rep_max,rep_avg,rate_advantage\n")
         for r in rows:
@@ -172,9 +176,6 @@ def _cmd_tradeoff(args) -> int:
                 r.greedy.d_min, r.greedy.d_max, r.greedy.d_avg,
                 r.repetition.d_min, r.repetition.d_max, r.repetition.d_avg,
                 r.advantage]) + "\n")
-    finally:
-        if close:
-            fp.close()
     return 0
 
 
@@ -184,6 +185,9 @@ def _cmd_slope(args) -> int:
             records = records_from_csv(fp)
     except OSError as exc:
         raise ConfigError(f"cannot read input file: {exc}") from exc
+    if records and args.source > len(records[0].errors):
+        raise ConfigError(f"--source {args.source}: the input has "
+                          f"{len(records[0].errors)} source(s)")
     slope = estimate_diversity_slope(records, args.source - 1, args.window)
     print(f"source {args.source}: diversity slope {slope:.4g}")
     return 0
@@ -210,6 +214,7 @@ def cli_main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
+        traceback.print_exc()
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

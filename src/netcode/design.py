@@ -25,7 +25,6 @@ __all__ = [
     "code_for_requirements",
     "puncture",
     "default_schedule",
-    "validate_schedule",
     "repetition_baseline",
     "repetition_code",
     "rate_advantage",
@@ -176,9 +175,9 @@ def default_schedule(G: BitMatrix) -> tuple[int, ...]:
 class NetworkCode:
     """A (k, n) generator matrix with its transmit schedule.
 
-    Everything else about the code (separation vector, Tanner checks,
-    relay detections) follows from these two; it is derived on first use
-    and cached, outside the fields that equality and hashing see.
+    Everything derived from these two (separation vector, schedule
+    check, Tanner checks, relay detections) is computed on first use and
+    cached, outside the fields that equality and hashing see.
     """
 
     G: BitMatrix
@@ -227,6 +226,26 @@ class NetworkCode:
         return tuple(tuple(index[i, relay] for i in srcs if i != relay - 1)
                      for relay, srcs in zip(self.v, self.check_sources))
 
+    @cached_property
+    def schedule_violations(self) -> tuple[str, ...]:
+        """Every broken schedule invariant, as a message; empty when the
+        schedule is valid.  Checked once per code and cached."""
+        G, v, k = self.G, self.v, self.k
+        violations = [f"row {i} of G is all-zero"
+                      for i, m in enumerate(G.row_masks) if m == 0]
+        for j, srcs in enumerate(self.check_sources):
+            if not 1 <= v[j] <= k:
+                violations.append(f"slot {j}: transmitter {v[j]} outside 1..{k}")
+                continue
+            if not G.entry(v[j] - 1, j):
+                violations.append(f"slot {j}: transmitter {v[j]} has a zero encoding coefficient")
+            for i in srcs:
+                heard = any(v[m] == i + 1 and G.entry(i, m) for m in range(j))
+                if i != v[j] - 1 and not heard:
+                    violations.append(
+                        f"slot {j}: causality violation, source {i + 1} not yet transmitted")
+        return tuple(violations)
+
     def to_json_dict(self) -> dict:
         flat = [b for row in self.G.to_lists() for b in row]
         return {"k": self.k, "n": self.n, "G": flat, "v": list(self.v),
@@ -246,30 +265,6 @@ def network_code(G: BitMatrix, v: Sequence[int]) -> NetworkCode:
     if len(v) != G.cols:
         raise ValueError("schedule length must equal the number of slots")
     return NetworkCode(G, tuple(int(x) for x in v))
-
-
-def validate_schedule(code: NetworkCode) -> tuple[bool, list[str]]:
-    """Check all structural invariants; returns (ok, violations)."""
-    G, v = code.G, code.v
-    k, n = G.rows, G.cols
-    violations: list[str] = []
-    for i, m in enumerate(G.row_masks):
-        if m == 0:
-            violations.append(f"row {i} of G is all-zero")
-    for j in range(n):
-        if not 1 <= v[j] <= k:
-            violations.append(f"slot {j}: transmitter {v[j]} outside 1..{k}")
-            continue
-        if not G.entry(v[j] - 1, j):
-            violations.append(f"slot {j}: transmitter {v[j]} has a zero encoding coefficient")
-        for i in range(k):
-            if i == v[j] - 1 or not G.entry(i, j):
-                continue
-            heard = any(v[m] == i + 1 and G.entry(i, m) for m in range(j))
-            if not heard:
-                violations.append(
-                    f"slot {j}: causality violation, source {i + 1} not yet transmitted")
-    return (not violations, violations)
 
 
 def _scheduled_code(B: BitMatrix) -> NetworkCode:

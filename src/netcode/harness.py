@@ -15,9 +15,10 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +31,6 @@ from .design import (
     code_for_requirements,
     repetition_baseline,
     separation_vector,
-    validate_schedule,
     _lexicode,
     _systematize,
 )
@@ -172,9 +172,11 @@ class BerRecord:
         return np.sqrt(ber * (1.0 - ber) / self.trials)
 
 
-def _batch_counts(config: SimConfig, snr_index: int, batch_index: int,
-                  size: int) -> tuple[int, np.ndarray]:
-    """Simulate and decode one seeded batch; returns (trials, error counts)."""
+def _batch_counts(config: SimConfig, snr_index: int,
+                  batch_index: int) -> tuple[int, np.ndarray]:
+    """Simulate and decode one seeded batch, whose size is fixed by its
+    index; returns (trials, error counts)."""
+    size = min(config.batch_size, config.max_trials - batch_index * config.batch_size)
     snr_db = config.snr_grid_db[snr_index]
     fading = FadingModel(config.fading_mode, 10.0 ** (snr_db / 10.0))
     snc = SncPolicy(config.snc)
@@ -198,57 +200,50 @@ def _worker_count() -> int:
     return workers
 
 
+def _point_counts(config: SimConfig, snr_index: int, mapper,
+                  workers: int):
+    """(trials, error counts) of each batch of one SNR point, in batch-index
+    order.  Batches run in waves of `workers` through `mapper`, and every
+    result of a wave is read, so a failed batch is never dropped.  The
+    stream is lazy: a point that stops early plans no later wave.
+    """
+    batches = range(len(range(0, config.max_trials, config.batch_size)))
+    for first in range(0, len(batches), workers):
+        yield from list(mapper(_batch_counts, repeat(config), repeat(snr_index),
+                               batches[first:first + workers]))
+
+
 def run_sweep(config: SimConfig) -> list[BerRecord]:
     """Run the Monte Carlo sweep defined by `config`.
 
     Per SNR point, rounds run in fixed-size batches until every source
     bit has accumulated min_errors_per_bit errors or max_trials rounds
-    have been spent (such points are flagged "capped").
+    have been spent (such points are flagged "capped"; with max_trials
+    = 0, "empty").
     """
-    ok, violations = validate_schedule(config.code)
-    if not ok:
-        raise ConfigError("code.v: invalid schedule: " + "; ".join(violations))
+    # checked here, before any batch, so the pickled config carries the
+    # cached result to pool workers
+    if config.code.schedule_violations:
+        raise ConfigError("code.v: invalid schedule: "
+                          + "; ".join(config.code.schedule_violations))
     workers = _worker_count()
-    k = config.code.k
     records: list[BerRecord] = []
-    pool = ProcessPoolExecutor(workers) if workers > 1 else None
-    mapper = pool.map if pool is not None else map
-    try:
-        for snr_index in range(len(config.snr_grid_db)):
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        mapper = map if pool is None else pool.map
+        for snr_index, snr_db in enumerate(config.snr_grid_db):
             t0 = time.perf_counter()
             trials = 0
-            errors = np.zeros(k, dtype=np.int64)
+            errors = np.zeros(config.code.k, dtype=np.int64)
             flags = ""
-            if config.max_trials == 0:
-                records.append(BerRecord(config.snr_grid_db[snr_index], 0,
-                                         errors, "empty",
-                                         time.perf_counter() - t0))
-                continue
-            # fixed batch sizes, determined purely by index
-            sizes = [min(config.batch_size, config.max_trials - start)
-                     for start in range(0, config.max_trials, config.batch_size)]
-            done = False
-            batch_index = 0
-            while not done and batch_index < len(sizes):
-                wave = range(batch_index, min(batch_index + workers, len(sizes)))
-                w = len(wave)
-                results = list(mapper(_batch_counts, [config] * w,
-                                      [snr_index] * w, wave,
-                                      sizes[wave.start:wave.stop]))
-                for n_done, errs in results:
-                    trials += n_done
-                    errors += errs
-                    batch_index += 1
-                    if np.all(errors >= config.min_errors_per_bit):
-                        done = True
-                        break
-            if not done:
-                flags = "capped"
-            records.append(BerRecord(config.snr_grid_db[snr_index], trials,
-                                     errors, flags, time.perf_counter() - t0))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            for n_done, errs in _point_counts(config, snr_index, mapper, workers):
+                trials += n_done
+                errors += errs
+                if np.all(errors >= config.min_errors_per_bit):
+                    break
+            else:
+                flags = "capped" if trials else "empty"
+            records.append(BerRecord(snr_db, trials, errors, flags,
+                                     time.perf_counter() - t0))
     return records
 
 
@@ -256,6 +251,8 @@ def estimate_diversity_slope(records: Sequence[BerRecord], source: int,
                              window: int = 3) -> float:
     """Least-squares slope of -log10(BER) against SNR_dB/10 over the
     highest-SNR points; the empirical diversity order."""
+    if window < 2:
+        raise ValueError(f"slope window must be >= 2, got {window}")
     usable = [r for r in records if r.trials > 0]
     pts = usable[-window:]
     if len(pts) < 2:
@@ -348,17 +345,23 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _rows(records: Sequence[BerRecord]):
+    """One dict per (record, source), keyed by CSV_COLUMNS."""
+    for rec in records:
+        ber, stderr = rec.ber, rec.stderr
+        for i, errors in enumerate(rec.errors):
+            yield {"snr_db": rec.snr_db, "source": i + 1, "trials": rec.trials,
+                   "errors": int(errors), "ber": float(ber[i]),
+                   "stderr": float(stderr[i]), "flags": rec.flags}
+
+
 def records_to_csv(records: Sequence[BerRecord], fp) -> None:
     """One row per (snr_db, source); floats at full round-trip precision."""
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for rec in records:
-        ber, stderr = rec.ber, rec.stderr
-        for i in range(len(rec.errors)):
-            writer.writerow([
-                _fmt(rec.snr_db), i + 1, rec.trials, int(rec.errors[i]),
-                _fmt(ber[i]), _fmt(stderr[i]), rec.flags,
-            ])
+    for row in _rows(records):
+        writer.writerow(_fmt(v) if c in ("snr_db", "ber", "stderr") else v
+                        for c, v in row.items())
 
 
 def records_from_csv(fp) -> list[BerRecord]:
@@ -376,11 +379,5 @@ def records_from_csv(fp) -> list[BerRecord]:
 
 def records_to_json_lines(records: Sequence[BerRecord], fp) -> None:
     """JSON-lines emission with the same fields as the CSV."""
-    for rec in records:
-        ber, stderr = rec.ber, rec.stderr
-        for i in range(len(rec.errors)):
-            fp.write(json.dumps({
-                "snr_db": rec.snr_db, "source": i + 1, "trials": rec.trials,
-                "errors": int(rec.errors[i]), "ber": float(ber[i]),
-                "stderr": float(stderr[i]), "flags": rec.flags,
-            }) + "\n")
+    for row in _rows(records):
+        fp.write(json.dumps(row) + "\n")

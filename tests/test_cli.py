@@ -257,6 +257,13 @@ def test_tradeoff_bad_range_syntax(capsys):
     (("design", "--n", "3", "--d", "5"), "--n"),
     (("design", "--k", "3", "--n", "6", "--d", "3"), "--n"),
     (("slope", "--input", "sweep.csv", "--source", "0"), "--source"),
+    (("slope", "--input", "sweep.csv", "--source", "1", "--window", "0"),
+     "--window"),
+    (("slope", "--input", "sweep.csv", "--source", "1", "--window", "-1"),
+     "--window"),
+    (("design", "--k", "29", "--d", "3"), "--k"),
+    (("tradeoff", "--k", "30", "--n-range", "30:40"), "--k"),
+    (("design", "--n", "40", "--d", "3"), "--n"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -281,6 +288,18 @@ def test_slope_from_csv(capsys, tmp_path):
     assert "diversity slope 2" in out
 
 
+def test_slope_source_beyond_sweep(capsys, tmp_path, code1):
+    csv_path = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(capsys, "simulate", "--config",
+                         str(_write_config(tmp_path, code1)), "-o", str(csv_path))
+    assert code == 0
+    code, out, err = run_cli(capsys, "slope", "--input", str(csv_path),
+                             "--source", "4")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --source 4: the input has 3 source(s)\n"
+
+
 def test_slope_missing_input(capsys, tmp_path):
     code, _, err = run_cli(capsys, "slope", "--input",
                            str(tmp_path / "none.csv"), "--source", "1")
@@ -294,7 +313,10 @@ def test_slope_insufficient_points(capsys, tmp_path):
     code, _, err = run_cli(capsys, "slope", "--input", str(path),
                            "--source", "1")
     assert code == 1
-    assert "slope window" in err
+    # an unexpected failure prints its traceback before the one-line error
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.splitlines()[-1].startswith("error: ")
+    assert "slope window" in err.splitlines()[-1]
 
 
 # ------------------------------------------------------------------- general

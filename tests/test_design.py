@@ -16,7 +16,6 @@ from netcode.design import (
     repetition_baseline,
     repetition_code,
     separation_vector,
-    validate_schedule,
     _systematize,
 )
 from netcode.gf2 import BitMatrix, is_systematic_prefix
@@ -241,20 +240,18 @@ def test_default_schedule_is_always_valid():
         B = greedy_code(n, d)
         G = _systematize(B)
         code = network_code(G, default_schedule(G))
-        ok, violations = validate_schedule(code)
-        assert ok, violations
+        assert not code.schedule_violations, code.schedule_violations
 
 
 def test_validate_schedule_accepts_samples(net34, rep36, code1, code2, code3):
     for code in (net34, rep36, code1, code2, code3):
-        ok, violations = validate_schedule(code)
-        assert ok, violations
+        assert not code.schedule_violations, code.schedule_violations
 
 
 def test_validate_schedule_rejects_zero_coefficient(net34):
     bad = network_code(net34.G, [2, 2, 3, 2])  # slot 0 owner has G[1,0] = 0
-    ok, violations = validate_schedule(bad)
-    assert not ok
+    violations = bad.schedule_violations
+    assert violations
     assert any("slot 0" in v for v in violations)
 
 
@@ -262,15 +259,24 @@ def test_validate_schedule_rejects_causality_violation():
     # combined slot before source 3 has ever transmitted
     G = BitMatrix.from_rows([[1, 1, 0, 1], [0, 1, 1, 0], [0, 1, 0, 1]])
     bad = network_code(G, [1, 2, 2, 3])
-    ok, violations = validate_schedule(bad)
-    assert not ok
+    violations = bad.schedule_violations
+    assert violations
     assert any("causality" in v for v in violations)
 
 
 def test_validate_schedule_rejects_out_of_range_transmitter(code1):
-    ok, violations = validate_schedule(network_code(code1.G, [1, 2, 3, 1, 2, 4]))
-    assert not ok
+    violations = network_code(code1.G, [1, 2, 3, 1, 2, 4]).schedule_violations
+    assert violations
     assert any("outside" in v for v in violations)
+
+
+def test_schedule_violations_cached_and_pickled(net34):
+    """The check runs once per code object, and a pickled code (as sent
+    to pool workers) carries the cached result."""
+    bad = network_code(net34.G, [2, 2, 3, 2])
+    assert bad.schedule_violations is bad.schedule_violations
+    assert pickle.loads(pickle.dumps(bad)).__dict__["schedule_violations"] == (
+        bad.schedule_violations)
 
 
 # --------------------------------------------------------------- NetworkCode
@@ -362,8 +368,7 @@ def test_code_for_requirements_small():
     code = code_for_requirements(3, 3)
     assert (code.k, code.n) == (3, 6)
     assert min(code.sep) >= 3
-    ok, violations = validate_schedule(code)
-    assert ok, violations
+    assert not code.schedule_violations, code.schedule_violations
 
     code = code_for_requirements(3, 4)
     assert (code.k, code.n) == (3, 7)
@@ -382,8 +387,7 @@ def test_code_for_requirements_meets_distance_generally():
         assert code.k == k
         assert min(code.sep) >= d
         assert k <= code.n <= k * d
-        ok, violations = validate_schedule(code)
-        assert ok, violations
+        assert not code.schedule_violations, code.schedule_violations
 
 
 def _code_by_search_over_lengths(k, d):
@@ -441,8 +445,7 @@ def test_repetition_code_realizes_baseline():
         pt = repetition_baseline(k, n)
         sep = code.sep
         assert (min(sep), max(sep)) == (pt.d_min, pt.d_max)
-        ok, violations = validate_schedule(code)
-        assert ok, violations
+        assert not code.schedule_violations, code.schedule_violations
         # strictly one source per column
         arr = code.G.to_array()
         assert (arr.sum(axis=0) == 1).all()

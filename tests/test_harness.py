@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -159,6 +160,22 @@ def test_run_sweep_zero_trials_yields_empty_records(code1):
         assert np.isnan(rec.stderr).all()
 
 
+def test_run_sweep_memory_bounded_per_point(code1, monkeypatch):
+    """A point that meets its target after a few rounds plans no batches
+    beyond them, so its memory does not grow with max_trials."""
+    monkeypatch.setenv("NETCODE_THREADS", "1")
+    cfg = _config(code1, snr_grid_db=(-10.0,), batch_size=1,
+                  max_trials=10**6, min_errors_per_bit=1)
+    tracemalloc.start()
+    try:
+        (rec,) = run_sweep(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec.flags == "" and rec.trials < 100
+    assert peak < 1 << 20
+
+
 def test_run_sweep_deterministic_across_worker_counts(code1):
     cfg = _config(code1)
     old = os.environ.get("NETCODE_THREADS")
@@ -242,6 +259,10 @@ def test_slope_error_cases():
             BerRecord(20.0, 1000, np.array([0]))]
     with pytest.raises(ValueError):
         estimate_diversity_slope(zero, 0)
+    four = _synthetic_records(0.1, 2.0, [0.0, 10.0, 20.0, 30.0])
+    for window in (1, 0, -1):
+        with pytest.raises(ValueError, match="window"):
+            estimate_diversity_slope(four, 0, window)
 
 
 def test_compare_sweeps_identical_is_zero():
