@@ -125,6 +125,9 @@ def _cmd_analyze(args) -> int:
             code = NetworkCode.from_json_dict(json.load(fp))
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         raise ConfigError(f"cannot read code file: {exc}") from exc
+    if code.k > MAX_SEP_DIMENSION:
+        raise ConfigError(f"k = {code.k}: the code has more sources than "
+                          f"the separation vector allows ({MAX_SEP_DIMENSION})")
     print(f"k = {code.k}, n = {code.n}, rate = {Fraction(code.k, code.n)}")
     print(f"separation vector = {list(code.sep)}")
     print(f"schedule = {list(code.v)}")

@@ -31,18 +31,24 @@ __all__ = [
     "network_code",
 ]
 
-# Exhaustive 2^(k-1) enumeration per source symbol; beyond this the
-# memory/time for the codeword table is unreasonable.
+# Exhaustive enumeration of the 2^k codewords; memory stays at one
+# 2^16-word table, so the limit is one of time (about 3 s at k = 28).
 MAX_SEP_DIMENSION = 28
+
+# Rows spanned by the codeword table of `separation_vector`.
+_TABLE_ROWS = 16
 
 
 def separation_vector(G: BitMatrix) -> tuple[int, ...]:
     """Per-source minimum distances of the code generated by G.
 
     d[i] is the minimum Hamming weight of uG over all data vectors u
-    with u[i] = 1.  Enumerates all 2^k codewords (vectorized).
+    with u[i] = 1.  Enumerates all 2^k codewords in 2^(k-L) chunks over
+    one table of the span of the low L = min(k, 16) rows.  The chunks
+    walk the combinations of the high rows in Gray-code order, so each
+    costs one XOR of the table with a running sum of high rows.
     """
-    k, n = G.rows, G.cols
+    k = G.rows
     if k == 0:
         return ()
     if k > MAX_SEP_DIMENSION:
@@ -50,16 +56,29 @@ def separation_vector(G: BitMatrix) -> tuple[int, ...]:
     for i, m in enumerate(G.row_masks):
         if m == 0:
             raise ValueError(f"row {i} is all-zero; separation undefined")
-    # cw[j] = codeword for the data vector whose bits are the bits of j
-    cw = np.zeros(1, dtype=np.uint64)
-    for m in G.row_masks:
-        cw = np.concatenate([cw, cw ^ np.uint64(m)])
-    w = np.bitwise_count(cw)
-    d = []
-    for i in range(k):
-        # indices with bit i set form the upper halves of blocks of 2^(i+1)
-        blocks = w.reshape(-1, 1 << (i + 1))
-        d.append(int(blocks[:, (1 << i):].min()))
+    L = min(k, _TABLE_ROWS)
+    high = G.row_masks[L:]
+    # table[j] = codeword for the data vector whose low bits are the bits of j
+    table = np.zeros(1, dtype=np.uint64)
+    for m in G.row_masks[:L]:
+        table = np.concatenate([table, table ^ np.uint64(m)])
+    d = [G.cols] * k
+    offset = 0
+    for c in range(1 << len(high)):
+        if c:
+            offset ^= high[(c & -c).bit_length() - 1]
+        w = np.bitwise_count(table ^ np.uint64(offset))
+        for i in reversed(range(L)):
+            # the upper half holds the indices with bit i set; folding the
+            # halves together keeps the lower bits and leaves the overall
+            # minimum in w[0] after the last fold
+            half = len(w) >> 1
+            d[i] = min(d[i], int(w[half:].min()))
+            w = np.minimum(w[:half], w[half:])
+        gray = c ^ (c >> 1)
+        for j in range(len(high)):
+            if gray >> j & 1:
+                d[L + j] = min(d[L + j], int(w[0]))
     return tuple(d)
 
 
@@ -89,15 +108,20 @@ def _lexicode(n: int, d: int) -> Iterator[int]:
         raise ValueError(f"require n >= d >= 1, got n={n}, d={d}")
     rows: list[int] = []
     tops = 0  # the rows' top bits
+    # Any new basis vector with most significant bit p is 2^p + r with
+    # r in [0, 2^p).  It is admitted iff its coset modulo the current span
+    # contains no vector of weight <= d-2 (codewords all live below bit p,
+    # which contributes weight 1 on its own).  `covered` holds the coset
+    # representatives of those vectors.  A row admitted at bit p-1 leaves
+    # the representative of every vector below p-1 as it was, so each bit
+    # adds only the vectors whose top bit is p-1.
+    covered = {0} if d >= 2 else set()
     for p in range(n):
-        # Any new basis vector with most significant bit p is 2^p + r with
-        # r in [0, 2^p).  It is admitted iff its coset modulo the current
-        # span contains no vector of weight <= d-2 (codewords all live
-        # below bit p, which contributes weight 1 on its own).
-        covered = {0} if d >= 2 else set()
-        for ww in range(1, d - 1):
-            for pos in combinations(range(p), ww):
-                covered.add(_coset_rep(sum(1 << b for b in pos), rows))
+        if p:
+            top = 1 << (p - 1)
+            for ww in range(d - 2):
+                for pos in combinations(range(p - 1), ww):
+                    covered.add(_coset_rep(top | sum(1 << b for b in pos), rows))
         # The least such r is the least element of its coset, so it has
         # none of the rows' top bits: scan only the submasks of the other
         # bits below p, in increasing order (Conway & Sloane 1986); the

@@ -75,6 +75,18 @@ def test_analyze_reports_schedule_violations(capsys, tmp_path, net34):
     assert "violation" in out
 
 
+def test_analyze_rejects_too_many_sources(capsys, tmp_path):
+    k, n = 29, 30
+    G = [int(i == j or j == n - 1) for i in range(k) for j in range(n)]
+    obj = {"k": k, "n": n, "G": G, "v": list(range(1, k + 1)) + [1]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert "k = 29" in err and "28" in err
+
+
 def test_analyze_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", str(tmp_path / "nope.json"))
     assert code == 2

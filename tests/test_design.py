@@ -1,11 +1,13 @@
 import itertools
 import json
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import netcode.design
 from netcode.design import (
     code_for_requirements,
     default_schedule,
@@ -65,6 +67,35 @@ def test_separation_vector_matches_exhaustive_oracle():
         assert list(separation_vector(BitMatrix.from_rows(rows))) == \
             separation_oracle(rows)
         done += 1
+
+
+def test_separation_vector_in_gray_code_chunks_matches_oracle(monkeypatch):
+    """With a two-row table, every code of k > 2 runs through 2^(k-2)
+    chunks of the high rows."""
+    monkeypatch.setattr(netcode.design, "_TABLE_ROWS", 2)
+    rng = np.random.default_rng(12)
+    done = 0
+    while done < 100:
+        k = int(rng.integers(1, 9))
+        n = int(rng.integers(k, 16))
+        rows = rng.integers(0, 2, (k, n)).tolist()
+        if any(sum(r) == 0 for r in rows):
+            continue
+        assert list(separation_vector(BitMatrix.from_rows(rows))) == \
+            separation_oracle(rows)
+        done += 1
+
+
+def test_separation_vector_memory_is_bounded():
+    """The codewords of a k = 22 code would take 32 MB as one table."""
+    G = code_for_requirements(22, 3).G
+    tracemalloc.start()
+    try:
+        separation_vector(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_separation_vector_rejects_zero_row():
