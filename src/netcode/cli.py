@@ -19,6 +19,7 @@ from fractions import Fraction
 from .design import (
     MAX_SEP_DIMENSION,
     NetworkCode,
+    SearchLimitError,
     code_for_requirements,
     greedy_code,
     _scheduled_code,
@@ -99,11 +100,21 @@ def _output(path: str):
             yield fp
 
 
+@contextmanager
+def _search_limit(flag: str):
+    """Report a lexicode pass that outgrew its table as an error in `flag`."""
+    try:
+        yield
+    except SearchLimitError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
+
+
 def _cmd_design(args) -> int:
     if args.n is not None:
         if args.n < args.d:
             raise ConfigError(f"--n {args.n} is below --d {args.d}")
-        B = greedy_code(args.n, args.d)
+        with _search_limit("--d"):
+            B = greedy_code(args.n, args.d)
         if B.rows > MAX_SEP_DIMENSION:
             raise ConfigError(f"--n {args.n}: the greedy code at distance {args.d} "
                               f"has {B.rows} sources, above {MAX_SEP_DIMENSION}")
@@ -113,7 +124,8 @@ def _cmd_design(args) -> int:
                               f"leaves slots empty; it uses n = {used}")
         code = _scheduled_code(B)
     else:
-        code = code_for_requirements(args.k, args.d)
+        with _search_limit("--d"):
+            code = code_for_requirements(args.k, args.d)
     with _output(args.output) as fp:
         fp.write(json.dumps(code.to_json_dict(), indent=2) + "\n")
     return 0
@@ -128,8 +140,12 @@ def _cmd_analyze(args) -> int:
     if code.k > MAX_SEP_DIMENSION:
         raise ConfigError(f"k = {code.k}: the code has more sources than "
                           f"the separation vector allows ({MAX_SEP_DIMENSION})")
+    try:
+        sep = code.sep
+    except ValueError as exc:  # an all-zero row of G
+        raise ConfigError(f"G: {exc}") from exc
     print(f"k = {code.k}, n = {code.n}, rate = {Fraction(code.k, code.n)}")
-    print(f"separation vector = {list(code.sep)}")
+    print(f"separation vector = {list(sep)}")
     print(f"schedule = {list(code.v)}")
     print(f"schedule valid = {not code.schedule_violations}")
     for v in code.schedule_violations:
@@ -165,11 +181,13 @@ def _parse_range(option: str, text: str, least: int = 1) -> range:
 
 def _cmd_tradeoff(args) -> int:
     if args.n_range is not None:
-        rows = tradeoff_table(
-            args.k, n_range=_parse_range("--n-range", args.n_range, args.k))
+        with _search_limit("--n-range"):
+            rows = tradeoff_table(
+                args.k, n_range=_parse_range("--n-range", args.n_range, args.k))
     else:
-        rows = tradeoff_table(
-            args.k, d_range=_parse_range("--d-range", args.d_range))
+        with _search_limit("--d-range"):
+            rows = tradeoff_table(
+                args.k, d_range=_parse_range("--d-range", args.d_range))
     with _output(args.output) as fp:
         fp.write("k,n,d,rate,greedy_min,greedy_max,greedy_avg,"
                  "rep_min,rep_max,rep_avg,rate_advantage\n")
@@ -224,3 +242,7 @@ def cli_main(argv=None) -> int:
 
 def main() -> None:
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

@@ -24,6 +24,10 @@ __all__ = [
 # Exhaustive marginalization guard for the MAP rule.
 MAP_SIZE_LIMIT = 26
 
+# Bytes of per-round codeword tables one MAP chunk may hold (8 bytes per
+# hypothesis and slot); a NET34 batch of 65 536 rounds fits in one chunk.
+MAP_CHUNK_BYTES = 1 << 24
+
 # Message clamp applied ahead of the tanh rule so extreme reliabilities
 # cannot overflow while leaving hard decisions untouched.
 LLR_CLAMP = 40.0
@@ -76,37 +80,47 @@ def map_decode_batch(batch: RoundBatch, code: NetworkCode, noise: float = 1.0,
     Returns (posterior, decisions): posterior[b, i] = P(u_i = 1 | y),
     decisions by argmax with ties resolved to 0.  With `with_llrs` a
     third array ln P(u_i=0|y)/P(u_i=1|y) is appended (saturation-free).
+    Rounds are decoded in chunks of at most `MAP_CHUNK_BYTES` of
+    codeword table, so memory does not grow with the batch.
     """
     k, n = code.k, code.n
     if k + n > MAP_SIZE_LIMIT:
         raise ValueError(f"k + n = {k + n} exceeds MAP guard {MAP_SIZE_LIMIT}")
     _check_batch(batch, noise)
-    # codeword tables: hypothesis m carries u_i = (m >> i) & 1, so the
-    # codewords of m in [2^i, 2^(i+1)) are those of m - 2^i XOR row i.
-    # Without selective encoding every round shares one generator matrix.
-    g = batch.g_eff.astype(float)
-    if (g == g[:1]).all():
-        g = g[:1]
     M = 1 << k
-    cu = np.zeros((len(g), M, n))
-    for i in range(k):
-        np.not_equal(cu[:, :1 << i], g[:, i, None, :], out=cu[:, 1 << i:2 << i])
-    # log-likelihood of each hypothesis, up to a per-round constant: minus
-    # the slot LLRs (relay errors marginalized) summed over its coded 1s
-    # (the thin products go through einsum: BLAS threads only contend here)
-    cu = np.broadcast_to(cu, (len(batch), M, n))
     lam = channel_llr(llr_chat(batch.y, batch.h, noise), batch.p_e)  # (B, n)
-    score = np.einsum("bmn,bn->bm", cu, -lam)
-    score -= score.max(axis=1, keepdims=True)
-    like = np.exp(score)
+    # Without selective encoding every round shares one generator matrix.
+    g = batch.g_eff
+    shared = (g == g[:1]).all()
     U = ((np.arange(M)[:, None] >> np.arange(k)) & 1).astype(float)  # (M, k) data bits
-    posterior = np.einsum("bm,mk->bk", like, U) / like.sum(axis=1, keepdims=True)
+    posterior = np.empty((len(batch), k))
+    llrs = np.empty((len(batch), k)) if with_llrs else None
+    step = max(1, MAP_CHUNK_BYTES // (8 * M * n))
+    for lo in range(0, len(batch), step):
+        rows = slice(lo, lo + step)
+        gc = (g[:1] if shared else g[rows]).astype(float)
+        # codeword tables: hypothesis m carries u_i = (m >> i) & 1, so the
+        # codewords of m in [2^i, 2^(i+1)) are those of m - 2^i XOR row i.
+        cu = np.zeros((len(gc), M, n))
+        for i in range(k):
+            np.not_equal(cu[:, :1 << i], gc[:, i, None, :], out=cu[:, 1 << i:2 << i])
+        # log-likelihood of each hypothesis, up to a per-round constant: minus
+        # the slot LLRs (relay errors marginalized) summed over its coded 1s
+        # (the thin products go through einsum: BLAS threads only contend here)
+        minus_lam = -lam[rows]
+        cu = np.broadcast_to(cu, (len(minus_lam), M, n))
+        score = np.einsum("bmn,bn->bm", cu, minus_lam)
+        score -= score.max(axis=1, keepdims=True)
+        like = np.exp(score)
+        posterior[rows] = (np.einsum("bm,mk->bk", like, U)
+                           / like.sum(axis=1, keepdims=True))
+        if with_llrs:
+            llrs[rows] = np.stack([_logsumexp(score[:, U[:, i] == 0], axis=1)
+                                   - _logsumexp(score[:, U[:, i] == 1], axis=1)
+                                   for i in range(k)], axis=1)
     decisions = (posterior > 0.5).astype(np.uint8)
     if not with_llrs:
         return posterior, decisions
-    llrs = np.stack([_logsumexp(score[:, U[:, i] == 0], axis=1)
-                     - _logsumexp(score[:, U[:, i] == 1], axis=1)
-                     for i in range(k)], axis=1)
     return posterior, decisions, llrs
 
 

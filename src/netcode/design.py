@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -20,6 +20,7 @@ from .gf2 import BitMatrix, column_select, is_systematic_prefix
 __all__ = [
     "NetworkCode",
     "TradeoffPoint",
+    "SearchLimitError",
     "separation_vector",
     "greedy_code",
     "code_for_requirements",
@@ -37,6 +38,11 @@ MAX_SEP_DIMENSION = 28
 
 # Rows spanned by the codeword table of `separation_vector`.
 _TABLE_ROWS = 16
+
+# Entries of the coset table one lexicode pass may build; each bit can
+# double the table, so a pass peaks below 2x this (about 1.4 GB), while
+# k = 3 at d = 14 needs 4.2 M entries.
+MAX_COSET_TABLE = 1 << 23
 
 
 def separation_vector(G: BitMatrix) -> tuple[int, ...]:
@@ -82,14 +88,8 @@ def separation_vector(G: BitMatrix) -> tuple[int, ...]:
     return tuple(d)
 
 
-def _coset_rep(x: int, rows: list[int]) -> int:
-    """Least element of x's coset modulo the span of rows, given with
-    distinct top bits in ascending order: x reduced by each row, from the
-    top down, until none of their top bits is set."""
-    for r in reversed(rows):
-        if x >> (r.bit_length() - 1) & 1:
-            x ^= r
-    return x
+class SearchLimitError(ValueError):
+    """A lexicode pass whose coset table outgrew `MAX_COSET_TABLE`."""
 
 
 def _lexicode(n: int, d: int) -> Iterator[int]:
@@ -102,7 +102,8 @@ def _lexicode(n: int, d: int) -> Iterator[int]:
     packed-int convention (coordinate 0 least significant), i.e. plain
     integer order on the masks.  The row admitted at bit p depends only
     on the bits below p, so lexicodes are nested in n: a caller that
-    needs a prefix of the rows stops the pass there.
+    needs a prefix of the rows stops the pass there.  Raises
+    SearchLimitError once its coset table outgrows `MAX_COSET_TABLE`.
     """
     if not (n >= d >= 1):
         raise ValueError(f"require n >= d >= 1, got n={n}, d={d}")
@@ -111,17 +112,23 @@ def _lexicode(n: int, d: int) -> Iterator[int]:
     # Any new basis vector with most significant bit p is 2^p + r with
     # r in [0, 2^p).  It is admitted iff its coset modulo the current span
     # contains no vector of weight <= d-2 (codewords all live below bit p,
-    # which contributes weight 1 on its own).  `covered` holds the coset
-    # representatives of those vectors.  A row admitted at bit p-1 leaves
-    # the representative of every vector below p-1 as it was, so each bit
-    # adds only the vectors whose top bit is p-1.
-    covered = {0} if d >= 2 else set()
+    # which contributes weight 1 on its own).  `covered` maps the least
+    # element of each such coset to its least weight below bit p.  The
+    # rows are fully reduced, so the least element is linear: each bit
+    # XORs that of 2^(p-1), t, into every entry of weight < d-2.
+    covered = {0: 0} if d >= 2 else {}
     for p in range(n):
         if p:
             top = 1 << (p - 1)
-            for ww in range(d - 2):
-                for pos in combinations(range(p - 1), ww):
-                    covered.add(_coset_rep(top | sum(1 << b for b in pos), rows))
+            t = rows[-1] ^ top if tops & top else top
+            for c in list(covered):
+                w = covered[c] + 1
+                if w <= d - 2 and covered.get(t ^ c, d) > w:
+                    covered[t ^ c] = w
+            if len(covered) > MAX_COSET_TABLE:
+                raise SearchLimitError(
+                    f"the lexicode search at distance {d} needs more than "
+                    f"{MAX_COSET_TABLE} cosets by length {p + 1}")
         # The least such r is the least element of its coset, so it has
         # none of the rows' top bits: scan only the submasks of the other
         # bits below p, in increasing order (Conway & Sloane 1986); the

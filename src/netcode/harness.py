@@ -27,6 +27,7 @@ from .channel import FADING_MODES, FadingModel, SncPolicy, simulate_rounds
 from .decoders import DECODE_MODES, DECODERS, MAP_SIZE_LIMIT, decode_with_mode_batch
 from .design import (
     NetworkCode,
+    SearchLimitError,
     TradeoffPoint,
     code_for_requirements,
     repetition_baseline,
@@ -117,8 +118,11 @@ class SimConfig:
                     raise ConfigError(f"code: {exc}") from exc
             elif "design" in obj:
                 req = obj["design"]
-                code = code_for_requirements(_design_int(req, "k"),
-                                             _design_int(req, "d"))
+                k, d = _design_int(req, "k"), _design_int(req, "d")
+                try:
+                    code = code_for_requirements(k, d)
+                except SearchLimitError as exc:
+                    raise ConfigError(f"design.d: {exc}") from exc
             else:
                 raise ConfigError("config needs a 'code' object or a 'design' {k, d}")
             grid = obj["snr_grid_db"]

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import netcode.design
 from netcode.cli import cli_main
 from netcode.design import NetworkCode
 
@@ -85,6 +90,16 @@ def test_analyze_rejects_too_many_sources(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "k = 29" in err and "28" in err
+
+
+def test_analyze_rejects_all_zero_row(capsys, tmp_path):
+    obj = {"k": 2, "n": 3, "G": [1, 0, 1, 0, 0, 0], "v": [1, 1, 1]}
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: G: row 1 is all-zero") and err.count("\n") == 1
 
 
 def test_analyze_missing_file(capsys, tmp_path):
@@ -284,6 +299,26 @@ def test_usage_errors_exit_2(capsys, argv, message):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("design", "--k", "2", "--d", "20"), "--d"),
+    (("design", "--n", "40", "--d", "16"), "--d"),
+    (("tradeoff", "--k", "3", "--d-range", "1:16"), "--d-range"),
+    (("tradeoff", "--k", "3", "--n-range", "3:40"), "--n-range"),
+    (("simulate", "--config", "{config}"), "design.d"),
+])
+def test_lexicode_table_limit_exits_2(capsys, tmp_path, monkeypatch, argv, flag):
+    """A lexicode pass whose coset table outgrows its limit is a usage
+    error naming the flag; the limit is made small so the test is fast."""
+    monkeypatch.setattr(netcode.design, "MAX_COSET_TABLE", 1000)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"design": {"k": 2, "d": 20}, "snr_grid_db": [0.0]}))
+    code, out, err = run_cli(capsys, *(a.format(config=config) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag}: the lexicode search at distance ")
+    assert err.count("\n") == 1
+
+
 # --------------------------------------------------------------------- slope
 
 def test_slope_from_csv(capsys, tmp_path):
@@ -341,6 +376,18 @@ def test_unknown_subcommand(capsys):
 def test_no_subcommand(capsys):
     code, _, _ = run_cli(capsys)
     assert code == 2
+
+
+def test_module_entry_point(tmp_path, code2):
+    """`python -m netcode.cli` runs the command line."""
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(code2.to_json_dict()))
+    src = str(Path(netcode.__file__).parents[1])
+    result = subprocess.run([sys.executable, "-m", "netcode.cli", "analyze", str(path)],
+                            capture_output=True, text=True, timeout=60,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0
+    assert "separation vector = [3, 2, 2]" in result.stdout
 
 
 def test_help_exits_cleanly(capsys):

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import netcode.decoders
 from netcode.channel import FadingModel, SncPolicy, simulate_rounds
 from netcode.decoders import (
     MAP_SIZE_LIMIT,
@@ -199,6 +201,38 @@ def test_map_uninformative_slots_are_ignored(code1):
     pa, _ = map_decode_batch(a, code1)
     pb, _ = map_decode_batch(b, code1)
     assert np.allclose(pa, pb, atol=1e-12)
+
+
+@pytest.mark.parametrize("snc", [False, True])
+def test_map_in_chunks_equals_whole_batch(monkeypatch, code1, snc):
+    """Chunks of 7 rounds, the last one short, give the whole batch's
+    arrays exactly, with one shared table and with per-round tables."""
+    batch = simulate_rounds(code1, FadingModel("block_iid", 1.0),
+                            SncPolicy(snc), RNG(39), 50)
+    assert (batch.g_eff == batch.g_eff[:1]).all() != snc
+    whole = map_decode_batch(batch, code1, with_llrs=True)
+    monkeypatch.setattr(netcode.decoders, "MAP_CHUNK_BYTES", 8 * 8 * 6 * 7)
+    chunked = map_decode_batch(batch, code1, with_llrs=True)
+    for a, b in zip(whole, chunked):
+        assert np.array_equal(a, b)
+
+
+def test_map_memory_does_not_grow_with_batch():
+    """Selective encoding gives every round its own codeword table; the
+    chunks keep the decoder's peak the same at 256 and 1 024 rounds."""
+    code = code_for_requirements(10, 3)
+    peaks = []
+    for rounds in (256, 1024):
+        batch = simulate_rounds(code, FadingModel("block_iid", 10.0),
+                                SncPolicy(True), RNG(40), rounds)
+        tracemalloc.start()
+        try:
+            map_decode_batch(batch, code)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0]
+    assert peaks[1] < 3 * netcode.decoders.MAP_CHUNK_BYTES
 
 
 # --------------------------------------------------------------- sum-product
