@@ -45,29 +45,24 @@ def channel_llr(llr_chat_val, p_e):
     """LLR of the error-free coded bit given the relay error probability.
 
     Evaluates ln[(e^a e^b + 1) / (e^a + e^b)] with a = ln((1-p)/p),
-    b = the raw channel LLR, in log-sum-exp form for stability.
+    b = the raw channel LLR, in log-sum-exp form for stability, on the
+    entries where the relay can err (p > 0); elsewhere it is b itself.
     """
-    b = np.asarray(llr_chat_val, dtype=float)
-    p = np.asarray(p_e, dtype=float)
-    if np.any((p < 0) | (p > 0.5)):
+    b, p = np.broadcast_arrays(np.asarray(llr_chat_val, dtype=float),
+                               np.asarray(p_e, dtype=float))
+    if not np.all((p >= 0) & (p <= 0.5)):
         raise ValueError("relay error probability must lie in [0, 1/2]")
-    with np.errstate(divide="ignore"):
-        a = np.log1p(-p) - np.log(p)  # +inf at p = 0
-    exact = np.isinf(a)
-    a_safe = np.where(exact, 0.0, a)
-    out = np.where(
-        exact,
-        b,
-        np.logaddexp(a_safe + b, 0.0) - np.logaddexp(a_safe, b),
-    )
+    err = p > 0
+    pe, be = p[err], b[err]
+    a = np.log1p(-pe) - np.log(pe)
+    out = b.copy()
+    out[err] = np.logaddexp(a + be, 0.0) - np.logaddexp(a, be)
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def _check_batch(batch: RoundBatch, noise: float):
-    if not noise > 0:
-        raise ValueError("noise spectral density must be positive")
+def _check_batch(batch: RoundBatch):
     if not np.all(np.isfinite(batch.y)) or not np.all(np.isfinite(batch.h)):
         raise ValueError("non-finite observation")
 
@@ -86,7 +81,7 @@ def map_decode_batch(batch: RoundBatch, code: NetworkCode, noise: float = 1.0,
     k, n = code.k, code.n
     if k + n > MAP_SIZE_LIMIT:
         raise ValueError(f"k + n = {k + n} exceeds MAP guard {MAP_SIZE_LIMIT}")
-    _check_batch(batch, noise)
+    _check_batch(batch)
     M = 1 << k
     lam = channel_llr(llr_chat(batch.y, batch.h, noise), batch.p_e)  # (B, n)
     # Without selective encoding every round shares one generator matrix.
@@ -106,10 +101,9 @@ def map_decode_batch(batch: RoundBatch, code: NetworkCode, noise: float = 1.0,
             np.not_equal(cu[:, :1 << i], gc[:, i, None, :], out=cu[:, 1 << i:2 << i])
         # log-likelihood of each hypothesis, up to a per-round constant: minus
         # the slot LLRs (relay errors marginalized) summed over its coded 1s
-        # (the thin products go through einsum: BLAS threads only contend here)
-        minus_lam = -lam[rows]
-        cu = np.broadcast_to(cu, (len(minus_lam), M, n))
-        score = np.einsum("bmn,bn->bm", cu, minus_lam)
+        # (the thin products go through einsum: BLAS threads only contend here;
+        # a shared table's round axis of length 1 broadcasts over the chunk)
+        score = np.einsum("bmn,bn->bm", cu, -lam[rows])
         score -= score.max(axis=1, keepdims=True)
         like = np.exp(score)
         posterior[rows] = (np.einsum("bm,mk->bk", like, U)
@@ -147,17 +141,20 @@ def sp_decode_batch(
     channel LLRs and never change.  Returns (posterior_llrs, decisions);
     ties (LLR exactly 0) decide 0.
     """
-    _check_batch(batch, noise)
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
+    _check_batch(batch)
     checks = code.check_sources
     chk = [j for j, srcs in enumerate(checks) for _ in srcs]  # edges by check,
     src = [i for srcs in checks for i in srcs]                 # then by source
     L = llr_chat(batch.y, batch.h, noise)          # (B, n)
     lam = np.clip(channel_llr(L, batch.p_e), -LLR_CLAMP, LLR_CLAMP)
-    t_lam = np.tanh(lam / 2.0).T[chk]              # (E, B) fixed c_j -> check_j factor
     kept = batch.g_eff[:, src, chk].T == 1         # (E, B) edges SNC kept
+    # fixed c_j -> check_j factor; 0 on a dropped edge, whose check message
+    # is then 2 atanh(0) = 0 in every iteration
+    t_lam = np.where(kept, np.tanh(lam / 2.0).T[chk], 0.0)  # (E, B)
 
     m_vc = np.zeros(t_lam.shape)                   # source -> check messages
-    totals = np.zeros((code.k, len(batch)))        # per-source sum over checks
     for _ in range(iters):
         t = np.where(kept, np.tanh(np.clip(m_vc, -LLR_CLAMP, LLR_CLAMP) / 2.0), 1.0)
         # product over the check's other sources: prefix times suffix
@@ -172,9 +169,10 @@ def sp_decode_batch(
                 suf = suf * t[e + 1]
                 excl[e] *= suf
         prod = np.clip(t_lam * excl, -1 + _ATANH_EPS, 1 - _ATANH_EPS)
-        m_cv = np.where(kept, 2.0 * np.arctanh(prod), 0.0)
-        for s in range(code.k):
-            totals[s] = sum(m_cv[e] for e, i in enumerate(src) if i == s)
+        m_cv = 2.0 * np.arctanh(prod)
+        totals = np.zeros((code.k, len(batch)))    # per-source sum over checks
+        for e, i in enumerate(src):
+            totals[i] += m_cv[e]
         m_vc = totals[src] - m_cv                  # unused on dropped edges
     posterior_llrs = totals.T.copy()                # (B, k); source channel LLR is 0
     decisions = (posterior_llrs < 0).astype(np.uint8)

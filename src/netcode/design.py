@@ -284,12 +284,35 @@ class NetworkCode:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "NetworkCode":
-        k, n = int(obj["k"]), int(obj["n"])
-        flat = obj["G"]
+        """Parse the form `to_json_dict` writes (its `sep` is ignored); a
+        missing, mistyped or unknown field raises ValueError naming it."""
+        if type(obj) is not dict:
+            raise ValueError("expected a JSON object with k, n, G and v")
+        if not obj.keys() <= _CODE_KEYS:
+            unknown = sorted(obj.keys() - _CODE_KEYS)
+            raise ValueError(f"unknown code key(s): {', '.join(unknown)}")
+        k, n, flat, v = obj.get("k"), obj.get("n"), obj.get("G"), obj.get("v")
+        if type(k) is not int or k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {k!r}")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {n!r}")
+        # JSON true and 1.0 equal 1 but print as "True" and "1.0": G holds
+        # only 0s and 1s when its entries print as one binary digit each
+        bits = "".join(map(repr, flat)) if type(flat) is list else None
+        if bits is None or len(bits) != len(flat) or not set(bits) <= {"0", "1"}:
+            raise ValueError("G must be a list of integers 0 and 1")
         if len(flat) != k * n:
             raise ValueError("G array length does not match k*n")
-        rows = [flat[i * n:(i + 1) * n] for i in range(k)]
-        return network_code(BitMatrix.from_rows(rows, n), obj["v"])
+        if type(v) is not list or len(v) != n or not set(map(type, v)) <= {int}:
+            raise ValueError(f"v must be a list of n = {n} integers")
+        # bit i*n + j of the reversed digits is G[i][j]
+        packed, mask = int(bits[::-1], 2), (1 << n) - 1
+        rows = tuple(packed >> i * n & mask for i in range(k))
+        return network_code(BitMatrix(rows, k, n), v)
+
+
+# Keys of a code's JSON form; `sep` is derived and written for readers.
+_CODE_KEYS = {"k", "n", "G", "v", "sep"}
 
 
 def network_code(G: BitMatrix, v: Sequence[int]) -> NetworkCode:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -100,4 +102,34 @@ def map_oracle(batch, code, noise=1.0):
                     if ub[i]:
                         p1[i] += lik
         out[r] = p1 / tot
+    return out
+
+
+def sp_oracle(batch, code, iters=4, noise=1.0):
+    """Flooding sum-product per round in plain loops, on the checks of
+    batch.g_eff[r] (sources SNC dropped are not connected) and the
+    composite slot LLR in its linear-domain closed form; independent of
+    the production edge arrays and masks."""
+    k, n = code.k, code.n
+    out = np.zeros((len(batch), k))
+    for r in range(len(batch)):
+        g = batch.g_eff[r]
+        lam = []
+        for j in range(n):
+            b = 4.0 * (batch.h[r, j].conjugate() * batch.y[r, j]).real / noise
+            p = batch.p_e[r, j]
+            lam.append(math.log(((1 - p) * math.exp(b) + p) / ((1 - p) + p * math.exp(b))))
+        edges = [(i, j) for j in range(n) for i in range(k) if g[i][j]]
+        m_vc = {e: 0.0 for e in edges}
+        for _ in range(iters):
+            m_cv = {}
+            for i, j in edges:
+                prod = math.tanh(lam[j] / 2)
+                for i2, j2 in edges:
+                    if j2 == j and i2 != i:
+                        prod *= math.tanh(m_vc[i2, j2] / 2)
+                m_cv[i, j] = 2 * math.atanh(prod)
+            total = [sum(m for (i, _), m in m_cv.items() if i == s) for s in range(k)]
+            m_vc = {(i, j): total[i] - m_cv[i, j] for i, j in edges}
+        out[r] = total
     return out

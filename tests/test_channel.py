@@ -15,6 +15,9 @@ from netcode.channel import (
     snc_threshold,
 )
 
+# the channel and its reliabilities must not hide a numpy warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 RNG = lambda s: np.random.default_rng(s)
 
 

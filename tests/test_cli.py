@@ -226,6 +226,38 @@ def test_simulate_rejects_malformed_inline_code(capsys, tmp_path, code1):
     assert out == ""
 
 
+_NET34_G = [1, 0, 1, 1, 0, 1, 0, 1, 0, 0, 1, 0]
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+@pytest.mark.parametrize("over, message", [
+    ({"v": [1, 2, 3, 2.7]}, "v must be a list of n = 4 integers"),
+    ({"v": [1, 2, 3, True]}, "v must be a list of n = 4 integers"),
+    ({"k": "3"}, "k must be an integer >= 1, got '3'"),
+    ({"k": 3.9}, "k must be an integer >= 1, got 3.9"),
+    ({"G": [True] + _NET34_G[1:]}, "G must be a list of integers 0 and 1"),
+    ({"G": [1.0] + _NET34_G[1:]}, "G must be a list of integers 0 and 1"),
+    ({"G": [2] + _NET34_G[1:]}, "G must be a list of integers 0 and 1"),
+    ({"k": 0, "n": 0, "G": [], "v": []}, "k must be an integer >= 1, got 0"),
+    ({"seps": [2, 2, 1]}, "unknown code key(s): seps"),
+], ids=["v-float", "v-bool", "k-str", "k-float", "G-bool", "G-float", "G-two",
+        "k-n-zero", "unknown-key"])
+def test_code_json_is_strict(capsys, tmp_path, net34, command, over, message):
+    """A code file or inline code that is not exactly integers exits 2
+    naming the field, before anything runs."""
+    obj = {**net34.to_json_dict(), **over}
+    if command == "analyze":
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(obj))
+        argv = ["analyze", str(path)]
+    else:
+        argv = ["simulate", "--config", str(_write_config(tmp_path, net34, code=obj))]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("over, violation", [
     ({"v": [1, 2, 4, 1, 2, 3]}, "transmitter 4 outside 1..3"),
     ({"v": [1, 2, 3, 1, 2, 1]}, "zero encoding coefficient"),

@@ -17,7 +17,10 @@ from netcode.decoders import (
 from netcode.design import code_for_requirements, network_code, repetition_code
 from netcode.gf2 import BitMatrix
 
-from conftest import map_oracle
+from conftest import map_oracle, sp_oracle
+
+# channel_llr and the decoders must not hide a numpy warning (log(0), 0/0)
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 RNG = lambda s: np.random.default_rng(s)
 
@@ -112,6 +115,25 @@ def test_channel_llr_rejects_bad_probability():
         channel_llr(1.0, 0.6)
     with pytest.raises(ValueError):
         channel_llr(1.0, -0.01)
+    with pytest.raises(ValueError):
+        channel_llr(1.0, float("nan"))
+
+
+def test_channel_llr_mixed_array():
+    """Entries with p = 0 pass b through bit for bit (signed zero too);
+    the others follow the scalar formula."""
+    rng = RNG(32)
+    b = rng.normal(scale=8, size=(6, 5))
+    b[0, 0] = -0.0
+    p = np.where(rng.random((6, 5)) < 0.5, 0.0, rng.uniform(0.001, 0.5, (6, 5)))
+    p[0, 0] = 0.0
+    assert 0 < (p == 0).sum() < p.size
+    out = channel_llr(b, p)
+    assert out.shape == b.shape
+    assert out[p == 0].tobytes() == b[p == 0].tobytes()
+    for bb, pp, o in zip(b[p > 0], p[p > 0], out[p > 0]):
+        ea, eb = (1 - pp) / pp, math.exp(bb)
+        assert o == pytest.approx(math.log((ea * eb + 1) / (ea + eb)), rel=1e-9, abs=1e-12)
 
 
 # ------------------------------------------------------------------- MAP rule
@@ -260,6 +282,32 @@ def test_sp_equals_map_on_cycle_free_graphs():
     assert checked >= 100
 
 
+def _rounds(batch, keep):
+    """The rounds of `batch` that the boolean mask `keep` selects."""
+    return type(batch)(**{name: value[keep] if isinstance(value, np.ndarray) else value
+                          for name, value in batch.__dict__.items()})
+
+
+@pytest.mark.parametrize("design", [False, True])
+def test_sp_matches_per_round_oracle_under_snc(code1, design):
+    """With selective encoding the batch decoder equals flooding
+    sum-product run round by round on each round's kept edges."""
+    code = code_for_requirements(6, 3) if design else code1
+    checked = dropped = 0
+    for db in (0, 3, 6):
+        batch = simulate_rounds(code, FadingModel("block_iid", 10 ** (db / 10)),
+                                SncPolicy(True), RNG(100 + db), 80)
+        lam = channel_llr(llr_chat(batch.y, batch.h, 1.0), batch.p_e)
+        ok = np.abs(lam).max(axis=1) <= 20  # away from tanh saturation
+        llrs, dec = sp_decode_batch(batch, code, iters=4)
+        want = sp_oracle(_rounds(batch, ok), code, iters=4)
+        assert np.allclose(llrs[ok], want, atol=1e-6)
+        assert (dec[ok] == (want < 0)).all()
+        checked += ok.sum()
+        dropped += (batch.g_eff[ok] != code.G.to_array()).sum()
+    assert checked >= 100 and dropped > 0
+
+
 def test_sp_decisions_track_map_on_loopy_graph(code1):
     """On the loopy 3x6 graph sum-product is approximate but should agree
     with MAP on the vast majority of rounds at moderate SNR."""
@@ -290,6 +338,8 @@ def test_sp_iteration_count_is_respected(code1):
     l4b, _ = sp_decode_batch(batch, code1, iters=4)
     assert np.array_equal(l4a, l4b)
     assert not np.allclose(l1, l4a)
+    with pytest.raises(ValueError, match="iters"):
+        sp_decode_batch(batch, code1, iters=0)
 
 
 def test_sp_single_round_wrapper(code1):
