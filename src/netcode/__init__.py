@@ -10,7 +10,6 @@ from .design import (
     default_schedule,
     greedy_code,
     network_code,
-    puncture,
     rate_advantage,
     repetition_baseline,
     repetition_code,

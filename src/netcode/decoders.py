@@ -135,48 +135,77 @@ def sp_decode_batch(
 
     Messages live on the edges of the code's Tanner graph (check j ties
     coded bit j to the sources of `code.check_sources[j]`), one row of
-    rounds per edge; an edge that selective encoding dropped from a
-    round carries no message in that round.  Coded variables have
-    degree 1, so their messages into the checks are the composite
-    channel LLRs and never change.  Returns (posterior_llrs, decisions);
-    ties (LLR exactly 0) decide 0.
+    rounds per edge, laid out once per code in `code.plan`; an edge that
+    selective encoding dropped from a round carries no message in that
+    round.  Coded variables have degree 1, so their messages into the
+    checks are the composite channel LLRs and never change; so are the
+    messages of the degree-1 checks, which are computed once per batch,
+    and the iterations run over the edges of the multi-source checks
+    only.  Returns (posterior_llrs, decisions); ties (LLR exactly 0)
+    decide 0.
     """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     _check_batch(batch)
-    checks = code.check_sources
-    chk = [j for j, srcs in enumerate(checks) for _ in srcs]  # edges by check,
-    src = [i for srcs in checks for i in srcs]                 # then by source
+    plan = code.plan
+    m = plan.loopy
     L = llr_chat(batch.y, batch.h, noise)          # (B, n)
     lam = np.clip(channel_llr(L, batch.p_e), -LLR_CLAMP, LLR_CLAMP)
-    kept = batch.g_eff[:, src, chk].T == 1         # (E, B) edges SNC kept
+    B = len(batch)
+    # flat indices into the (E, B) edge rows of the edges SNC dropped
+    dropped = np.flatnonzero(batch.g_eff[:, plan.src, plan.chk].T != 1)
+    loopy_dropped = dropped[:np.searchsorted(dropped, m * B)]
     # fixed c_j -> check_j factor; 0 on a dropped edge, whose check message
     # is then 2 atanh(0) = 0 in every iteration
-    t_lam = np.where(kept, np.tanh(lam / 2.0).T[chk], 0.0)  # (E, B)
-
-    m_vc = np.zeros(t_lam.shape)                   # source -> check messages
-    for _ in range(iters):
-        t = np.where(kept, np.tanh(np.clip(m_vc, -LLR_CLAMP, LLR_CLAMP) / 2.0), 1.0)
-        # product over the check's other sources: prefix times suffix
-        excl = np.ones_like(t)
-        hi = 0
-        for srcs in checks:
-            lo, hi = hi, hi + len(srcs)
-            for e in range(lo + 1, hi):
-                excl[e] = excl[e - 1] * t[e - 1]
-            suf = 1.0
-            for e in range(hi - 2, lo - 1, -1):
-                suf = suf * t[e + 1]
-                excl[e] *= suf
-        prod = np.clip(t_lam * excl, -1 + _ATANH_EPS, 1 - _ATANH_EPS)
-        m_cv = 2.0 * np.arctanh(prod)
-        totals = np.zeros((code.k, len(batch)))    # per-source sum over checks
-        for e, i in enumerate(src):
-            totals[i] += m_cv[e]
-        m_vc = totals[src] - m_cv                  # unused on dropped edges
+    t_lam = np.ascontiguousarray(np.tanh(lam / 2.0).T[plan.chk])  # (E, B)
+    t_lam.reshape(-1)[dropped] = 0.0
+    msg = np.empty_like(t_lam)                     # check -> source messages
+    _check_message(t_lam[m:], msg[m:])             # degree-1 checks: fixed
+    base = np.zeros((code.k, B))                   # per-source sums, in edge order
+    for i, e in plan.lead:
+        base[i] += msg[e]
+    totals = np.empty_like(base)
+    # source -> check messages start at 0, and tanh(0) = 0 on a kept edge
+    t = np.zeros((m, B))
+    excl = np.empty_like(t)
+    suf = np.empty(B)                              # running suffix product
+    loopy_src = plan.src[:m].tolist()
+    for it in range(iters):
+        if it:
+            # t = tanh(m_vc / 2) on kept edges, in place
+            np.clip(t, -LLR_CLAMP, LLR_CLAMP, out=t)
+            np.divide(t, 2.0, out=t)
+            np.tanh(t, out=t)
+        t.reshape(-1)[loopy_dropped] = 1.0         # dropped edges: factor 1
+        # product over the check's other sources: prefix times suffix (the
+        # factors of 1 that start each product are left out, exactly)
+        for lo, hi in plan.spans:
+            np.copyto(excl[lo + 1], t[lo])
+            for e in range(lo + 2, hi):
+                np.multiply(excl[e - 1], t[e - 1], out=excl[e])
+            s = t[hi - 1]
+            for e in range(hi - 2, lo, -1):
+                np.multiply(excl[e], s, out=excl[e])
+                s = np.multiply(s, t[e], out=suf)
+            np.copyto(excl[lo], s)
+        np.multiply(t_lam[:m], excl, out=excl)
+        _check_message(excl, msg[:m])
+        np.copyto(totals, base)
+        for i, e in plan.tail:
+            totals[i] += msg[e]
+        if it < iters - 1:                         # m_vc, unused on dropped edges
+            for e, i in enumerate(loopy_src):
+                np.subtract(totals[i], msg[e], out=t[e])
     posterior_llrs = totals.T.copy()                # (B, k); source channel LLR is 0
     decisions = (posterior_llrs < 0).astype(np.uint8)
     return posterior_llrs, decisions
+
+
+def _check_message(prod, out):
+    """2 atanh(prod) into `out`, with prod clipped short of +-1 in place."""
+    np.clip(prod, -1 + _ATANH_EPS, 1 - _ATANH_EPS, out=prod)
+    np.arctanh(prod, out=out)
+    np.multiply(out, 2.0, out=out)
 
 
 DECODE_MODES = ("optimal", "genie", "naive")

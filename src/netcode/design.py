@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,7 +23,6 @@ __all__ = [
     "separation_vector",
     "greedy_code",
     "code_for_requirements",
-    "puncture",
     "default_schedule",
     "repetition_baseline",
     "repetition_code",
@@ -92,9 +90,37 @@ class SearchLimitError(ValueError):
     """A lexicode pass whose coset table outgrew `MAX_COSET_TABLE`."""
 
 
-def _lexicode(n: int, d: int) -> Iterator[int]:
+def _check_table(size: int, d: int, p: int):
+    """Raise SearchLimitError if a coset table of `size` entries at bit p
+    outgrows `MAX_COSET_TABLE`."""
+    if size > MAX_COSET_TABLE:
+        raise SearchLimitError(
+            f"the lexicode search at distance {d} needs more than "
+            f"{MAX_COSET_TABLE} cosets by length {p + 1}")
+
+
+def _weight_ball(p: int, radius: int, cap: int) -> int:
+    """Number of length-p vectors of weight <= radius, or some number
+    above `cap` once the count passes it."""
+    total = term = int(radius >= 0)
+    for w in range(1, min(radius, p) + 1):
+        if total > cap:
+            break
+        term = term * (p - w + 1) // w
+        total += term
+    return total
+
+
+def _griesmer_length(k: int, d: int) -> int:
+    """Griesmer bound: no binary linear code of dimension k and minimum
+    distance d is shorter than sum over i < k of ceil(d / 2^i)."""
+    return sum(-(-d // 2**i) for i in range(k))
+
+
+def _lexicode(n: int, d: int, k: int | None = None) -> Iterator[int]:
     """Basis rows of the binary lexicode of length n and minimum distance
-    >= d, yielded in the order they are admitted.
+    >= d, yielded in the order they are admitted; with `k`, the pass
+    stops after the k-th row.
 
     Vectors are admitted greedily in lexicographic order, starting from
     zero, whenever their distance to every previously admitted vector is
@@ -103,10 +129,23 @@ def _lexicode(n: int, d: int) -> Iterator[int]:
     integer order on the masks.  The row admitted at bit p depends only
     on the bits below p, so lexicodes are nested in n: a caller that
     needs a prefix of the rows stops the pass there.  Raises
-    SearchLimitError once its coset table outgrows `MAX_COSET_TABLE`.
+    SearchLimitError once its coset table outgrows `MAX_COSET_TABLE`,
+    or up front when the length the pass must reach forces that.
     """
     if not (n >= d >= 1):
         raise ValueError(f"require n >= d >= 1, got n={n}, d={d}")
+    # A floor on the table at the bit p of the pass's last row (at least
+    # the Griesmer length, less one), checked before the pass builds any:
+    # two vectors of weight <= (d-1)/2 differ by less than d, so each lies
+    # in a coset of its own; and the vectors of weight <= d-2 below p fill
+    # cosets of 2^(k-1) vectors at most, since fewer than k rows lie below
+    # the k-th.
+    p = n - 1 if k is None else min(n, _griesmer_length(k, d)) - 1
+    cosets = _weight_ball(p, (d - 1) // 2, MAX_COSET_TABLE)
+    if k is not None:
+        ball = _weight_ball(p, d - 2, MAX_COSET_TABLE << (k - 1))
+        cosets = max(cosets, -(-ball >> (k - 1)))
+    _check_table(cosets, d, p)
     rows: list[int] = []
     tops = 0  # the rows' top bits
     # Any new basis vector with most significant bit p is 2^p + r with
@@ -125,10 +164,7 @@ def _lexicode(n: int, d: int) -> Iterator[int]:
                 w = covered[c] + 1
                 if w <= d - 2 and covered.get(t ^ c, d) > w:
                     covered[t ^ c] = w
-            if len(covered) > MAX_COSET_TABLE:
-                raise SearchLimitError(
-                    f"the lexicode search at distance {d} needs more than "
-                    f"{MAX_COSET_TABLE} cosets by length {p + 1}")
+            _check_table(len(covered), d, p)
         # The least such r is the least element of its coset, so it has
         # none of the rows' top bits: scan only the submasks of the other
         # bits below p, in increasing order (Conway & Sloane 1986); the
@@ -143,6 +179,8 @@ def _lexicode(n: int, d: int) -> Iterator[int]:
             yield (1 << p) | r
             rows.append((1 << p) | r)
             tops |= 1 << p
+            if len(rows) == k:
+                return
 
 
 def greedy_code(n: int, d: int) -> BitMatrix:
@@ -202,13 +240,33 @@ def default_schedule(G: BitMatrix) -> tuple[int, ...]:
     return tuple(v)
 
 
+class SpPlan(NamedTuple):
+    """The Tanner graph's edges laid out for sum-product decoding.
+
+    Edges are stored with those of the multi-source checks first, then
+    those of the degree-1 checks, each group in edge order (by check,
+    then by source).  A degree-1 check's message is fixed per batch.  A
+    source's total adds its messages in edge order, so only its run of
+    degree-1 edges ahead of its first multi-source edge (`lead`) can be
+    summed once per batch; the rest (`tail`) is added per iteration.
+    """
+
+    src: np.ndarray                     # (E,) source of each stored edge
+    chk: np.ndarray                     # (E,) check of each stored edge
+    loopy: int                          # multi-source edges, stored first
+    spans: tuple[tuple[int, int], ...]  # stored [lo, hi) of each multi-source check
+    lead: tuple[tuple[int, int], ...]   # (source, stored edge), summed once
+    tail: tuple[tuple[int, int], ...]   # (source, stored edge), summed per iteration
+
+
 @dataclass(frozen=True)
 class NetworkCode:
     """A (k, n) generator matrix with its transmit schedule.
 
     Everything derived from these two (separation vector, schedule
-    check, Tanner checks, relay detections) is computed on first use and
-    cached, outside the fields that equality and hashing see.
+    check, Tanner checks, sum-product plan, relay detections) is computed
+    on first use and cached, outside the fields that equality and
+    hashing see.
     """
 
     G: BitMatrix
@@ -237,6 +295,27 @@ class NetworkCode:
         graph ties coded bit j to these source bits."""
         return tuple(tuple(i for i, m in enumerate(self.G.row_masks) if m >> j & 1)
                      for j in range(self.n))
+
+    @cached_property
+    def plan(self) -> SpPlan:
+        """Edge layout of the sum-product decoder; built once per code."""
+        checks = self.check_sources
+        edges = [(j, i) for j, srcs in enumerate(checks) for i in srcs]
+        order = sorted(range(len(edges)), key=lambda e: len(checks[edges[e][0]]) == 1)
+        where = {e: pos for pos, e in enumerate(order)}
+        lead, tail, looped = [], [], set()
+        for e, (j, i) in enumerate(edges):
+            if len(checks[j]) > 1:
+                looped.add(i)
+            (tail if i in looped else lead).append((i, where[e]))
+        spans, hi = [], 0
+        for srcs in checks:
+            if len(srcs) > 1:
+                spans.append((hi, hi + len(srcs)))
+                hi += len(srcs)
+        src, chk = (np.array([edges[e][c] for e in order], dtype=np.intp) for c in (1, 0))
+        src.flags.writeable = chk.flags.writeable = False
+        return SpPlan(src, chk, hi, tuple(spans), tuple(lead), tuple(tail))
 
     @cached_property
     def relay_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -332,27 +411,10 @@ def code_for_requirements(k: int, d: int) -> NetworkCode:
     first k rows of one lexicode pass, cut at the k-th row's top bit."""
     if k < 1 or d < 1:
         raise ValueError("require k >= 1 and d >= 1")
-    rows = tuple(islice(_lexicode(k * d, d), k))
+    rows = tuple(_lexicode(k * d, d, k))
     if len(rows) < k:  # the repetition code bounds n by k*d
         raise RuntimeError(f"fewer than {k} rows at distance {d} below bit {k * d}")
     return _scheduled_code(BitMatrix(rows, k, rows[-1].bit_length()))
-
-
-def puncture(code: NetworkCode, drop: Sequence[int]) -> NetworkCode:
-    """Remove the given columns (and schedule entries)."""
-    dropset = set()
-    for j in drop:
-        if not 0 <= j < code.n:
-            raise ValueError(f"column index {j} out of range")
-        if j in dropset:
-            raise ValueError(f"duplicate column index {j}")
-        dropset.add(j)
-    keep = [j for j in range(code.n) if j not in dropset]
-    G = column_select(code.G, keep)
-    for i, m in enumerate(G.row_masks):
-        if m == 0:
-            raise ValueError(f"puncturing leaves row {i} all-zero")
-    return network_code(G, tuple(code.v[j] for j in keep))
 
 
 @dataclass(frozen=True)

@@ -56,10 +56,6 @@ class BitMatrix:
             masks.append(_pack(r))
         return cls(tuple(masks), len(rows), cols)
 
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(tuple(1 << i for i in range(n)), n, n)
-
     def entry(self, i: int, j: int) -> int:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError((i, j))

@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +32,7 @@ from .design import (
     code_for_requirements,
     repetition_baseline,
     separation_vector,
+    _griesmer_length,
     _lexicode,
     _systematize,
 )
@@ -225,11 +226,13 @@ def run_sweep(config: SimConfig) -> list[BerRecord]:
     have been spent (such points are flagged "capped"; with max_trials
     = 0, "empty").
     """
-    # checked here, before any batch, so the pickled config carries the
-    # cached result to pool workers
+    # checked (and the decoder's plan built) here, before any batch, so the
+    # pickled config carries the cached results to pool workers
     if config.code.schedule_violations:
         raise ConfigError("code.v: invalid schedule: "
                           + "; ".join(config.code.schedule_violations))
+    if config.decoder == "sp":
+        config.code.plan
     workers = _worker_count()
     records: list[BerRecord] = []
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
@@ -322,8 +325,7 @@ def tradeoff_table(k: int, n_range: Sequence[int] | None = None,
             raise ValueError(f"length {min(n_range)} is below k={k}")
         top = max(n_range)
         # a d whose Griesmer length exceeds top cannot have k rows below it
-        prefixes = [tuple(islice(_lexicode(top, d), k))
-                    if sum(-(-d // 2**i) for i in range(k)) <= top else ()
+        prefixes = [tuple(_lexicode(top, d, k)) if _griesmer_length(k, d) <= top else ()
                     for d in range(1, top + 1)]
         for n in n_range:
             # the k-th row's top bit is the shortest length for k rows at d

@@ -133,3 +133,38 @@ def sp_oracle(batch, code, iters=4, noise=1.0):
             m_vc = {(i, j): total[i] - m_cv[i, j] for i, j in edges}
         out[r] = total
     return out
+
+
+def sp_flooding_reference(batch, code, iters=4, noise=1.0):
+    """Batch flooding sum-product over every edge of the Tanner graph,
+    degree-1 checks included, with the production decoder's arithmetic
+    in the same order: per-source totals add the check messages in edge
+    order (by check, then by source) from zero, so the plan-based
+    decoder must equal it bit for bit, signed zeros included."""
+    from netcode.decoders import _ATANH_EPS, LLR_CLAMP, channel_llr, llr_chat
+    checks = code.check_sources
+    chk = [j for j, srcs in enumerate(checks) for _ in srcs]
+    src = [i for srcs in checks for i in srcs]
+    lam = np.clip(channel_llr(llr_chat(batch.y, batch.h, noise), batch.p_e),
+                  -LLR_CLAMP, LLR_CLAMP)
+    kept = batch.g_eff[:, src, chk].T == 1
+    t_lam = np.where(kept, np.tanh(lam / 2.0).T[chk], 0.0)
+    m_vc = np.zeros(t_lam.shape)
+    for _ in range(iters):
+        t = np.where(kept, np.tanh(np.clip(m_vc, -LLR_CLAMP, LLR_CLAMP) / 2.0), 1.0)
+        excl = np.ones_like(t)
+        hi = 0
+        for srcs in checks:
+            lo, hi = hi, hi + len(srcs)
+            for e in range(lo + 1, hi):
+                excl[e] = excl[e - 1] * t[e - 1]
+            suf = 1.0
+            for e in range(hi - 2, lo - 1, -1):
+                suf = suf * t[e + 1]
+                excl[e] *= suf
+        m_cv = 2.0 * np.arctanh(np.clip(t_lam * excl, -1 + _ATANH_EPS, 1 - _ATANH_EPS))
+        totals = np.zeros((code.k, len(batch)))
+        for e, i in enumerate(src):
+            totals[i] += m_cv[e]
+        m_vc = totals[src] - m_cv
+    return totals.T

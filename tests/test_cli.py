@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -349,6 +350,22 @@ def test_lexicode_table_limit_exits_2(capsys, tmp_path, monkeypatch, argv, flag)
     assert out == ""
     assert err.startswith(f"error: {flag}: the lexicode search at distance ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("design", "--k", "2", "--d", "20"),
+    ("design", "--k", "3", "--d", "15"),
+    ("design", "--n", "40", "--d", "16"),
+])
+def test_hopeless_distance_rejected_up_front(capsys, argv):
+    """A request whose pass must outgrow the real coset-table limit is
+    rejected before the pass builds anything."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --d: the lexicode search at distance ")
 
 
 # --------------------------------------------------------------------- slope

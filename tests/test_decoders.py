@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -16,8 +17,9 @@ from netcode.decoders import (
 )
 from netcode.design import code_for_requirements, network_code, repetition_code
 from netcode.gf2 import BitMatrix
+from netcode.harness import SimConfig
 
-from conftest import map_oracle, sp_oracle
+from conftest import map_oracle, sp_flooding_reference, sp_oracle
 
 # channel_llr and the decoders must not hide a numpy warning (log(0), 0/0)
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -306,6 +308,77 @@ def test_sp_matches_per_round_oracle_under_snc(code1, design):
         checked += ok.sum()
         dropped += (batch.g_eff[ok] != code.G.to_array()).sum()
     assert checked >= 100 and dropped > 0
+
+
+def _late_degree_1_code():
+    """A code whose source 2 has its degree-1 check (slot 4) after two of
+    its multi-source checks."""
+    return network_code(BitMatrix.from_rows([[1, 1, 1, 0], [0, 1, 1, 1]]), [1, 2, 1, 2])
+
+
+@pytest.mark.parametrize("snc", [False, True])
+@pytest.mark.parametrize("iters", [1, 2, 4])
+def test_sp_matches_oracle_when_a_degree_1_check_comes_late(snc, iters):
+    """Source 2's degree-1 check (slot 4) follows two of its multi-source
+    checks, so its total cannot start from its degree-1 message: the
+    decoder still equals the per-round oracle, on the first iteration,
+    on the last and in between."""
+    code = _late_degree_1_code()
+    assert code.check_sources == ((0,), (0, 1), (0, 1), (1,))
+    checked = dropped = 0
+    for db in (0, 4, 8):
+        batch = simulate_rounds(code, FadingModel("block_iid", 10 ** (db / 10)),
+                                SncPolicy(snc), RNG(200 + db), 120)
+        lam = channel_llr(llr_chat(batch.y, batch.h, 1.0), batch.p_e)
+        ok = np.abs(lam).max(axis=1) <= 20  # away from tanh saturation
+        llrs, dec = sp_decode_batch(batch, code, iters=iters)
+        want = sp_oracle(_rounds(batch, ok), code, iters=iters)
+        assert np.allclose(llrs[ok], want, atol=1e-6)
+        assert (dec[ok] == (want < 0)).all()
+        checked += ok.sum()
+        dropped += (batch.g_eff[ok] != code.G.to_array()).sum()
+    assert checked >= 200
+    assert (dropped > 0) == snc
+
+
+@pytest.mark.parametrize("snc", [False, True])
+def test_sp_equals_flooding_over_every_edge_bit_for_bit(net34, code1, snc):
+    """Computing the degree-1 checks once and iterating over the
+    multi-source edges only changes no bit of the output, sign bits
+    included, on a code whose degree-1 check comes after its
+    multi-source checks too."""
+    codes = [net34, code1, code_for_requirements(6, 3), repetition_code(3, 7),
+             _late_degree_1_code()]
+    for c, code in enumerate(codes):
+        for db in (0, 8, 30):
+            batch = simulate_rounds(code, FadingModel("block_iid", 10 ** (db / 10)),
+                                    SncPolicy(snc), RNG([300, c, db]), 400)
+            for iters in (1, 2, 4):
+                llrs, dec = sp_decode_batch(batch, code, iters=iters)
+                want = sp_flooding_reference(batch, code, iters=iters)
+                assert np.array_equal(llrs, want)
+                assert np.array_equal(np.signbit(llrs), np.signbit(want))
+                assert np.array_equal(dec, want < 0)
+
+
+def test_sp_plan_is_cached_and_survives_pickling(code1):
+    """The plan is built once per code, stays outside equality and
+    hashing, and travels with a pickled config to a pool worker, which
+    decodes a batch to the same LLRs."""
+    plan = code1.plan
+    assert code1.plan is plan
+    fresh = network_code(code1.G, code1.v)
+    assert fresh == code1 and hash(fresh) == hash(code1)
+    assert "plan" not in fresh.__dict__
+    config = SimConfig(code=code1, snr_grid_db=(6.0,), snc=True)
+    restored = pickle.loads(pickle.dumps(config))
+    assert "plan" in restored.code.__dict__ and restored.code == code1
+    batch = simulate_rounds(code1, FadingModel("block_iid", 4.0),
+                            SncPolicy(True), RNG(52), 300)
+    want, _ = sp_decode_batch(batch, config.code)
+    got, _ = sp_decode_batch(batch, restored.code)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_sp_decisions_track_map_on_loopy_graph(code1):

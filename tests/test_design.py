@@ -9,11 +9,11 @@ import pytest
 
 import netcode.design
 from netcode.design import (
+    SearchLimitError,
     code_for_requirements,
     default_schedule,
     greedy_code,
     network_code,
-    puncture,
     rate_advantage,
     repetition_baseline,
     repetition_code,
@@ -30,6 +30,11 @@ from conftest import (
     REP36_ROWS,
     separation_oracle,
 )
+
+
+def _identity(n):
+    """The n x n identity over GF(2)."""
+    return BitMatrix.from_rows(np.eye(n, dtype=int).tolist())
 
 
 def _codeword(u: int, G: BitMatrix) -> int:
@@ -52,7 +57,7 @@ def test_separation_vector_known_networks():
 
 
 def test_separation_vector_identity():
-    assert separation_vector(BitMatrix.identity(5)) == (1, 1, 1, 1, 1)
+    assert separation_vector(_identity(5)) == (1, 1, 1, 1, 1)
 
 
 def test_separation_vector_matches_exhaustive_oracle():
@@ -126,7 +131,7 @@ def test_separation_min_is_code_distance():
 
 def test_greedy_code_distance_one_is_identity():
     for n in range(1, 8):
-        assert greedy_code(n, 1) == BitMatrix.identity(n)
+        assert greedy_code(n, 1) == _identity(n)
 
 
 def test_greedy_code_known_dimensions():
@@ -207,6 +212,36 @@ def test_greedy_code_rows_are_nested_in_length():
             assert greedy_code(n + 1, d).row_masks[:len(short)] == short
 
 
+def test_up_front_table_check_changes_no_outcome(monkeypatch):
+    """The pass rejects up front only what its coset table would outgrow
+    anyway: with the floor disabled, every outcome (rows or
+    SearchLimitError) is the same, at limits small enough that both
+    kinds occur."""
+    def outcomes():
+        found = []
+        for n in range(3, 19):
+            for d in range(3, n + 1):
+                try:
+                    found.append(greedy_code(n, d).row_masks)
+                except SearchLimitError:
+                    found.append(None)
+        for k in range(1, 7):
+            for d in range(3, 10):
+                try:
+                    found.append(code_for_requirements(k, d).G)
+                except SearchLimitError:
+                    found.append(None)
+        return found
+
+    for limit in (30, 300):
+        monkeypatch.setattr(netcode.design, "MAX_COSET_TABLE", limit)
+        early = outcomes()
+        with monkeypatch.context() as patch:
+            patch.setattr(netcode.design, "_weight_ball", lambda *args: 0)
+            assert outcomes() == early
+        assert None in early and any(x is not None for x in early)
+
+
 def test_greedy_code_larger_instance_is_fast():
     G = greedy_code(30, 3)
     assert G.rows == 25
@@ -257,7 +292,7 @@ def test_systematize_rejects_dependent_rows():
 def test_default_schedule_examples():
     assert default_schedule(BitMatrix.from_rows(CODE1_ROWS)) == (1, 2, 3, 1, 2, 3)
     assert default_schedule(BitMatrix.from_rows(CODE3_ROWS)) == (1, 2, 3, 1, 2, 3, 1)
-    assert default_schedule(BitMatrix.identity(4)) == (1, 2, 3, 4)
+    assert default_schedule(_identity(4)) == (1, 2, 3, 4)
 
 
 def test_default_schedule_requires_systematic_prefix():
@@ -351,48 +386,6 @@ def test_network_code_schedule_length_checked(code1):
         network_code(code1.G, [1, 2, 3])
 
 
-# --------------------------------------------------------------- punctuation
-
-def test_puncture_drops_last_column(code1, code2):
-    p = puncture(code1, [5])
-    assert p.G == code2.G
-    assert p.v == code2.v
-    assert p.sep == (3, 2, 2)
-
-
-def test_puncture_distance_drop_bounds():
-    """Puncturing one column reduces each separation entry by at most 1."""
-    rng = np.random.default_rng(14)
-    done = 0
-    while done < 50:
-        k = int(rng.integers(2, 5))
-        n = int(rng.integers(k + 2, 10))
-        rows = rng.integers(0, 2, (k, n)).tolist()
-        G = BitMatrix.from_rows(rows)
-        if any(m == 0 for m in G.row_masks):
-            continue
-        code = network_code(G, [min(i + 1, k) for i in range(n)])
-        j = int(rng.integers(0, n))
-        try:
-            p = puncture(code, [j])
-        except ValueError:
-            continue  # puncturing emptied a row
-        before = separation_vector(G)
-        after = p.sep
-        assert all(b - 1 <= a <= b for a, b in zip(after, before))
-        done += 1
-
-
-def test_puncture_validates_indices(code1):
-    with pytest.raises(ValueError):
-        puncture(code1, [6])
-    with pytest.raises(ValueError):
-        puncture(code1, [1, 1])
-    with pytest.raises(ValueError):
-        # dropping all of source 3's columns leaves an all-zero row
-        puncture(code1, [2, 3, 5])
-
-
 # ----------------------------------------------------- requirement-driven fit
 
 def test_code_for_requirements_small():
@@ -409,7 +402,7 @@ def test_code_for_requirements_small():
 def test_code_for_requirements_distance_one():
     code = code_for_requirements(4, 1)
     assert (code.k, code.n) == (4, 4)
-    assert code.G == BitMatrix.identity(4)
+    assert code.G == _identity(4)
 
 
 def test_code_for_requirements_meets_distance_generally():

@@ -13,12 +13,6 @@ def test_bitmatrix_constructors_agree():
     assert A.rows == 2 and A.cols == 3
 
 
-def test_bitmatrix_identity():
-    I = BitMatrix.identity(4)
-    assert I.to_lists() == np.eye(4, dtype=int).tolist()
-    assert is_systematic_prefix(I)
-
-
 def test_bitmatrix_entry_row_column():
     A = BitMatrix.from_rows([[1, 0, 1, 1], [0, 1, 0, 1], [0, 0, 1, 0]])
     assert A.entry(0, 3) == 1
