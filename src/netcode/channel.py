@@ -110,41 +110,32 @@ def simulate_rounds(
     snc: SncPolicy,
     rng: np.random.Generator,
     batch: int,
-    u: np.ndarray | None = None,
     genie: bool = False,
 ) -> RoundBatch:
     """Simulate `batch` independent rounds.
 
     With `genie=True` the relays never err: detections are error-free and
-    the reported reliabilities are zero (selective encoding never fires).
+    the reported reliabilities are zero, below the selective-encoding
+    threshold, so every detection is combined.
     """
     if code.schedule_violations:
         raise ValueError("invalid schedule: " + "; ".join(code.schedule_violations))
     k, n = code.k, code.n
     G = code.G.to_array()  # (k, n)
-
-    if u is None:
-        u = rng.integers(0, 2, size=(batch, k)).astype(np.uint8)
-    else:
-        u = np.asarray(u, dtype=np.uint8)
-        if u.shape != (batch, k):
-            raise ValueError(f"data array must have shape ({batch}, {k})")
+    u = rng.integers(0, 2, size=(batch, k)).astype(np.uint8)
 
     pairs = code.relay_pairs
     P = len(pairs)
     if genie:
         pair_err_prob = np.zeros((batch, P))
         pair_err = np.zeros((batch, P), dtype=np.uint8)
-        kept = np.ones((batch, P), dtype=bool)
     else:
         gammas = rng.exponential(fading.mean_snr, size=(batch, P))
         pair_err_prob = link_error_prob(gammas)
         uni = rng.random(size=(batch, P))
         pair_err = (uni < pair_err_prob).astype(np.uint8)
-        if snc.enabled:
-            kept = pair_err_prob < snc_threshold(fading.mean_snr)
-        else:
-            kept = np.ones((batch, P), dtype=bool)
+    kept = (pair_err_prob < snc_threshold(fading.mean_snr) if snc.enabled
+            else np.ones((batch, P), dtype=bool))
 
     # instantaneous generator matrix after selective encoding
     g_eff = np.broadcast_to(G, (batch, k, n)).copy()
@@ -158,20 +149,17 @@ def simulate_rounds(
         p_e[:, j] = combine_reliability(np.where(keep_j, pair_err_prob[:, slot], 0.0))
         e[:, j] = np.where(keep_j, pair_err[:, slot], 0).sum(axis=1) % 2
 
-    c = np.einsum("bk,bkn->bn", u, g_eff) % 2
-    c = c.astype(np.uint8)
+    c = np.einsum("bk,bkn->bn", u, g_eff) % 2     # uint8, as u and g_eff
     c_hat = c ^ e
 
+    # one gain per slot, or one per transmitting source held over its slots
+    # (block fading takes its draw as is, a view in round-major layout)
     es = fading.mean_snr  # N0 = 1, symbol energy swept through the gain variance
-    if fading.mode == "block_iid":
-        h = np.sqrt(es / 2.0) * (rng.standard_normal((batch, n))
-                                 + 1j * rng.standard_normal((batch, n)))
-    else:
-        sources = sorted(set(code.v))
-        hs = np.sqrt(es / 2.0) * (rng.standard_normal((batch, len(sources)))
-                                  + 1j * rng.standard_normal((batch, len(sources))))
-        col = {s: idx for idx, s in enumerate(sources)}
-        h = hs[:, [col[code.v[j]] for j in range(n)]]
+    owners, col = ((range(n), slice(None)) if fading.mode == "block_iid"
+                   else np.unique(code.v, return_inverse=True))
+    shape = (batch, len(owners))
+    h = (np.sqrt(es / 2.0) * (rng.standard_normal(shape)
+                              + 1j * rng.standard_normal(shape)))[:, col]
     w = np.sqrt(0.5) * (rng.standard_normal((batch, n))
                         + 1j * rng.standard_normal((batch, n)))
     s = 1.0 - 2.0 * c_hat

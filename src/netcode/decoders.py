@@ -62,9 +62,12 @@ def channel_llr(llr_chat_val, p_e):
     return out
 
 
-def _check_batch(batch: RoundBatch):
+def _slot_llrs(batch: RoundBatch, noise: float) -> np.ndarray:
+    """(B, n) LLRs of the error-free coded bits: the channel LLRs with the
+    relay errors marginalized.  Rejects a non-finite observation."""
     if not np.all(np.isfinite(batch.y)) or not np.all(np.isfinite(batch.h)):
         raise ValueError("non-finite observation")
+    return channel_llr(llr_chat(batch.y, batch.h, noise), batch.p_e)
 
 
 def map_decode_batch(batch: RoundBatch, code: NetworkCode, noise: float = 1.0,
@@ -81,9 +84,8 @@ def map_decode_batch(batch: RoundBatch, code: NetworkCode, noise: float = 1.0,
     k, n = code.k, code.n
     if k + n > MAP_SIZE_LIMIT:
         raise ValueError(f"k + n = {k + n} exceeds MAP guard {MAP_SIZE_LIMIT}")
-    _check_batch(batch)
+    lam = _slot_llrs(batch, noise)
     M = 1 << k
-    lam = channel_llr(llr_chat(batch.y, batch.h, noise), batch.p_e)  # (B, n)
     # Without selective encoding every round shares one generator matrix.
     g = batch.g_eff
     shared = (g == g[:1]).all()
@@ -146,11 +148,9 @@ def sp_decode_batch(
     """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
-    _check_batch(batch)
+    lam = np.clip(_slot_llrs(batch, noise), -LLR_CLAMP, LLR_CLAMP)
     plan = code.plan
     m = plan.loopy
-    L = llr_chat(batch.y, batch.h, noise)          # (B, n)
-    lam = np.clip(channel_llr(L, batch.p_e), -LLR_CLAMP, LLR_CLAMP)
     B = len(batch)
     # flat indices into the (E, B) edge rows of the edges SNC dropped
     dropped = np.flatnonzero(batch.g_eff[:, plan.src, plan.chk].T != 1)

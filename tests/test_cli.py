@@ -197,6 +197,9 @@ def test_simulate_rejects_bad_config_field(capsys, tmp_path, code1, over, field)
     ({"k": 3, "d": 2.5}, "design.d"),
     ({"k": True, "d": 3}, "design.k"),
     ({"k": 0, "d": 3}, "design.k"),
+    ({"k": 3, "d": 3, "bogus": 1}, "design.bogus"),
+    ([3, 3], "design must be"),
+    ({"k": 3}, "design.d"),
 ])
 def test_simulate_rejects_bad_design_request(capsys, tmp_path, design, field):
     path = tmp_path / "cfg.json"

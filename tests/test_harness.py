@@ -160,12 +160,14 @@ def test_run_sweep_zero_trials_yields_empty_records(code1):
         assert np.isnan(rec.stderr).all()
 
 
-def test_run_sweep_memory_bounded_per_point(code1, monkeypatch):
+@pytest.mark.parametrize("max_trials", [10**6, 10**30])
+def test_run_sweep_memory_bounded_per_point(code1, monkeypatch, max_trials):
     """A point that meets its target after a few rounds plans no batches
-    beyond them, so its memory does not grow with max_trials."""
+    beyond them, so its memory does not grow with max_trials, even past
+    2^63 batches."""
     monkeypatch.setenv("NETCODE_THREADS", "1")
     cfg = _config(code1, snr_grid_db=(-10.0,), batch_size=1,
-                  max_trials=10**6, min_errors_per_bit=1)
+                  max_trials=max_trials, min_errors_per_bit=1)
     tracemalloc.start()
     try:
         (rec,) = run_sweep(cfg)
