@@ -14,6 +14,7 @@ from .design import (
     repetition_baseline,
     repetition_code,
     separation_vector,
+    tradeoff_table,
 )
 from .channel import (
     FadingModel,
@@ -41,7 +42,6 @@ from .harness import (
     records_from_csv,
     records_to_csv,
     run_sweep,
-    tradeoff_table,
 )
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ sweep CSV).  Exit codes: 0 success, 2 configuration/usage error,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -22,6 +23,7 @@ from .design import (
     SearchLimitError,
     code_for_requirements,
     greedy_code,
+    tradeoff_table,
     _scheduled_code,
 )
 from .harness import (
@@ -32,7 +34,6 @@ from .harness import (
     records_to_csv,
     records_to_json_lines,
     run_sweep,
-    tradeoff_table,
 )
 
 __all__ = ["main", "cli_main"]
@@ -204,12 +205,17 @@ def _cmd_slope(args) -> int:
     try:
         with open(args.input) as fp:
             records = records_from_csv(fp)
-    except OSError as exc:
-        raise ConfigError(f"cannot read input file: {exc}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"--input: the sweep CSV has no {exc} column") from exc
+    except (OSError, csv.Error, TypeError, ValueError) as exc:
+        raise ConfigError(f"--input: cannot read the sweep CSV: {exc}") from exc
     if records and args.source > len(records[0].errors):
         raise ConfigError(f"--source {args.source}: the input has "
                           f"{len(records[0].errors)} source(s)")
-    slope = estimate_diversity_slope(records, args.source - 1, args.window)
+    try:
+        slope = estimate_diversity_slope(records, args.source - 1, args.window)
+    except ValueError as exc:  # too few usable points, or a zero-error one
+        raise ConfigError(f"--input: source {args.source}: {exc}") from exc
     print(f"source {args.source}: diversity slope {slope:.4g}")
     return 0
 

@@ -28,6 +28,8 @@ __all__ = [
     "repetition_code",
     "rate_advantage",
     "network_code",
+    "TradeoffRow",
+    "tradeoff_table",
 ]
 
 # Exhaustive enumeration of the 2^k codewords; memory stays at one
@@ -196,10 +198,9 @@ def _systematize(G: BitMatrix) -> BitMatrix:
     vector as computed per basis row.
     """
     k, n = G.rows, G.cols
-    masks = list(G.row_masks)
     pivots: list[int] = []
     rows_done: list[int] = []
-    remaining = masks
+    remaining = list(G.row_masks)
     for col in range(n):
         bit = 1 << col
         hit = None
@@ -406,15 +407,28 @@ def _scheduled_code(B: BitMatrix) -> NetworkCode:
     return network_code(G, default_schedule(G))
 
 
-def code_for_requirements(k: int, d: int) -> NetworkCode:
-    """Smallest-length greedy code covering k sources at distance d: the
-    first k rows of one lexicode pass, cut at the k-th row's top bit."""
+def _prefix(k: int, d: int, n: int | None = None) -> BitMatrix | None:
+    """The first k rows of the lexicode at distance d, cut at the k-th
+    row's top bit: the shortest greedy code with k sources at distance d.
+
+    The pass runs to length n and stops at its k-th row; None means it
+    admits fewer than k rows below n.  Without n it runs to k*d, below
+    which it always has k rows: d ones just above a row's top bit are at
+    distance d from the span below, so each row's top bit is at most d
+    above the last's.
+    """
     if k < 1 or d < 1:
-        raise ValueError("require k >= 1 and d >= 1")
-    rows = tuple(_lexicode(k * d, d, k))
-    if len(rows) < k:  # the repetition code bounds n by k*d
-        raise RuntimeError(f"fewer than {k} rows at distance {d} below bit {k * d}")
-    return _scheduled_code(BitMatrix(rows, k, rows[-1].bit_length()))
+        raise ValueError(f"require k >= 1 and d >= 1, got k={k}, d={d}")
+    length = k * d if n is None else n
+    # no pass admits k rows below the Griesmer length
+    rows = tuple(_lexicode(length, d, k)) if _griesmer_length(k, d) <= length else ()
+    return BitMatrix(rows, k, rows[-1].bit_length()) if len(rows) == k else None
+
+
+def code_for_requirements(k: int, d: int) -> NetworkCode:
+    """Smallest-length greedy code covering k sources at distance d, in
+    systematic form with its default schedule."""
+    return _scheduled_code(_prefix(k, d))
 
 
 @dataclass(frozen=True)
@@ -427,28 +441,28 @@ class TradeoffPoint:
     d_avg: float
 
 
-def repetition_baseline(k: int, n: int) -> TradeoffPoint:
-    """Each source repeats its own symbol; no cooperation."""
+def _point(rate: Fraction, dists: Sequence[int]) -> TradeoffPoint:
+    return TradeoffPoint(rate, min(dists), max(dists), sum(dists) / len(dists))
+
+
+def _even_split(k: int, n: int) -> list[int]:
+    """Slots per source when k sources share n slots evenly, extras first."""
     if n < k:
         raise ValueError(f"need at least one slot per source (k={k}, n={n})")
-    reps = [n // k + (1 if i < n % k else 0) for i in range(k)]
-    return TradeoffPoint(Fraction(k, n), min(reps), max(reps), sum(reps) / k)
+    return [n // k + (i < n % k) for i in range(k)]
+
+
+def repetition_baseline(k: int, n: int) -> TradeoffPoint:
+    """Each source repeats its own symbol; no cooperation."""
+    return _point(Fraction(k, n), _even_split(k, n))
 
 
 def repetition_code(k: int, n: int) -> NetworkCode:
     """Generator/schedule realization of the repetition baseline."""
-    if n < k:
-        raise ValueError(f"need at least one slot per source (k={k}, n={n})")
-    reps = [n // k + (1 if i < n % k else 0) for i in range(k)]
-    # order extra slots round-robin after the systematic prefix
-    extra = []
-    remaining = [reps[i] - 1 for i in range(k)]
-    while any(remaining):
-        for i in range(k):
-            if remaining[i]:
-                extra.append(i + 1)
-                remaining[i] -= 1
-    v = tuple(list(range(1, k + 1)) + extra)
+    reps = _even_split(k, n)
+    # the extra slots go round-robin after the systematic prefix
+    v = tuple(range(1, k + 1)) + tuple(
+        i + 1 for r in range(1, max(reps)) for i in range(k) if reps[i] > r)
     masks = [0] * k
     for j, src in enumerate(v):
         masks[src - 1] |= 1 << j
@@ -457,7 +471,54 @@ def repetition_code(k: int, n: int) -> NetworkCode:
 
 def rate_advantage(k: int, d: int) -> float:
     """Rate of the smallest greedy design relative to repetition (rate 1/d)."""
-    if k < 1 or d < 1:
-        raise ValueError("require k >= 1 and d >= 1")
-    code = code_for_requirements(k, d)
-    return float(Fraction(k, code.n) / Fraction(1, d))
+    return float(Fraction(k * d, _prefix(k, d).cols))
+
+
+@dataclass(frozen=True)
+class TradeoffRow:
+    """One greedy-vs-repetition comparison point."""
+
+    k: int
+    n: int
+    d: int
+    greedy: TradeoffPoint
+    repetition: TradeoffPoint
+    advantage: float
+
+
+def _tradeoff_row(B: BitMatrix, d: int, n: int | None = None) -> TradeoffRow:
+    """The row of the k-row prefix B at distance d: without n, against
+    repetition at the same distance (k*d slots); at length n >= B.cols,
+    against repetition over the same n slots."""
+    k = B.rows
+    rep = repetition_baseline(k, k * d if n is None else n)
+    n = B.cols if n is None else n
+    greedy = _point(Fraction(k, n), separation_vector(_systematize(B)))
+    return TradeoffRow(k, n, d, greedy, rep, float(Fraction(k * d, B.cols)))
+
+
+def tradeoff_table(k: int, n_range: Sequence[int] | None = None,
+                   d_range: Sequence[int] | None = None) -> list[TradeoffRow]:
+    """Greedy-vs-repetition trade-off rows over a length or distance range.
+
+    By length, n takes the largest d at which the greedy code of length n
+    has k rows: lexicodes are nested in n, so one pass per d, stopped at
+    its k-th row, serves every n.
+    """
+    if (n_range is None) == (d_range is None):
+        raise ValueError("provide exactly one of n_range or d_range")
+    if not (n_range or d_range):
+        raise ValueError("empty range")
+    if d_range is not None:
+        return [_tradeoff_row(_prefix(k, d), d) for d in d_range]
+    # the d = 1 prefix is the identity, so it fits iff n >= k (and k >= 1)
+    if _prefix(k, 1, min(n_range)) is None:
+        raise ValueError(f"length {min(n_range)} is below k={k}")
+    top = max(n_range)
+    prefixes = [_prefix(k, d, top) for d in range(1, top + 1)]
+    rows = []
+    for n in n_range:
+        # a prefix's length is the shortest at which its d has k rows
+        d = max(d for d, B in enumerate(prefixes, 1) if B is not None and B.cols <= n)
+        rows.append(_tradeoff_row(prefixes[d - 1], d, n))
+    return rows

@@ -1,5 +1,5 @@
 """Monte Carlo experiment runner: SNR sweeps with a per-source stopping
-rule, diversity-slope estimation, sweep comparison, and trade-off tables.
+rule, diversity-slope estimation and sweep comparison.
 
 Reproducibility: each batch of rounds is seeded from (master_seed,
 snr_index, batch_index), and the stopping batch is determined by
@@ -17,7 +17,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import repeat
 from typing import Sequence
 
@@ -25,18 +24,7 @@ import numpy as np
 
 from .channel import FADING_MODES, FadingModel, SncPolicy, simulate_rounds
 from .decoders import DECODE_MODES, DECODERS, MAP_SIZE_LIMIT, decode_with_mode_batch
-from .design import (
-    NetworkCode,
-    SearchLimitError,
-    TradeoffPoint,
-    code_for_requirements,
-    repetition_baseline,
-    separation_vector,
-    _griesmer_length,
-    _lexicode,
-    _systematize,
-)
-from .gf2 import BitMatrix
+from .design import NetworkCode, SearchLimitError, code_for_requirements
 
 __all__ = [
     "ConfigError",
@@ -45,8 +33,6 @@ __all__ = [
     "run_sweep",
     "estimate_diversity_slope",
     "compare_sweeps",
-    "tradeoff_table",
-    "TradeoffRow",
     "records_to_csv",
     "records_from_csv",
     "records_to_json_lines",
@@ -200,14 +186,17 @@ def _batch_counts(config: SimConfig, snr_index: int,
 
 
 def _worker_count() -> int:
+    """Worker processes from NETCODE_THREADS, 1 to the CPU count: a pool
+    forks them all at its first batch, and results do not depend on it."""
     text = os.environ.get("NETCODE_THREADS", "1")
+    most = os.cpu_count() or 1
     try:
         workers = int(text)
     except ValueError:
         workers = 0
-    if workers < 1:
+    if not 1 <= workers <= most:
         raise ConfigError(
-            f"NETCODE_THREADS must be a positive integer, got {text!r}")
+            f"NETCODE_THREADS must be an integer in 1..{most} (the CPU count), got {text!r}")
     return workers
 
 
@@ -301,62 +290,6 @@ def compare_sweeps(a: Sequence[BerRecord], b: Sequence[BerRecord],
             for i in range(k)]
 
 
-@dataclass(frozen=True)
-class TradeoffRow:
-    """One greedy-vs-repetition comparison point."""
-
-    k: int
-    n: int
-    d: int
-    greedy: TradeoffPoint
-    repetition: TradeoffPoint
-    advantage: float
-
-
-def tradeoff_table(k: int, n_range: Sequence[int] | None = None,
-                   d_range: Sequence[int] | None = None) -> list[TradeoffRow]:
-    """Greedy-vs-repetition trade-off rows over a length or distance range.
-
-    By length, n takes the largest d at which the greedy code of length n
-    has k rows: lexicodes are nested in n, so one pass per d, stopped at
-    its k-th row, serves every n.
-    """
-    if (n_range is None) == (d_range is None):
-        raise ValueError("provide exactly one of n_range or d_range")
-    if not (n_range or d_range):
-        raise ValueError("empty range")
-    rows = []
-    if n_range is not None:
-        if min(n_range) < k:
-            raise ValueError(f"length {min(n_range)} is below k={k}")
-        top = max(n_range)
-        # a d whose Griesmer length exceeds top cannot have k rows below it
-        prefixes = [tuple(_lexicode(top, d, k)) if _griesmer_length(k, d) <= top else ()
-                    for d in range(1, top + 1)]
-        for n in n_range:
-            # the k-th row's top bit is the shortest length for k rows at d
-            d = max(d for d, p in enumerate(prefixes, 1)
-                    if len(p) == k and p[-1].bit_length() <= n)
-            p = prefixes[d - 1]
-            sep = separation_vector(_systematize(BitMatrix(p, k, n)))
-            greedy = TradeoffPoint(Fraction(k, n), min(sep), max(sep), sum(sep) / k)
-            rows.append(TradeoffRow(k, n, d, greedy, repetition_baseline(k, n),
-                                    float(Fraction(k * d, p[-1].bit_length()))))
-    else:
-        for d in d_range:
-            code = code_for_requirements(k, d)
-            sep = code.sep
-            greedy = TradeoffPoint(code.rate, min(sep), max(sep), sum(sep) / k)
-            rep = repetition_baseline(k, k * d)
-            rows.append(TradeoffRow(k, code.n, d, greedy, rep,
-                                    float(code.rate * d)))
-    return rows
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _rows(records: Sequence[BerRecord]):
     """One dict per (record, source), keyed by CSV_COLUMNS."""
     for rec in records:
@@ -372,7 +305,7 @@ def records_to_csv(records: Sequence[BerRecord], fp) -> None:
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in _rows(records):
-        writer.writerow(_fmt(v) if c in ("snr_db", "ber", "stderr") else v
+        writer.writerow(format(float(v), ".17g") if c in ("snr_db", "ber", "stderr") else v
                         for c, v in row.items())
 
 

@@ -35,6 +35,7 @@ from netcode.design import (
     repetition_baseline,
     repetition_code,
     separation_vector,
+    tradeoff_table,
 )
 from netcode.gf2 import BitMatrix
 from netcode.harness import (
@@ -43,7 +44,6 @@ from netcode.harness import (
     estimate_diversity_slope,
     records_to_csv,
     run_sweep,
-    tradeoff_table,
 )
 
 from conftest import (

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import netcode.cli
 import netcode.design
 from netcode.cli import cli_main
 from netcode.design import NetworkCode
@@ -409,13 +410,49 @@ def test_slope_insufficient_points(capsys, tmp_path):
     path = tmp_path / "sweep.csv"
     path.write_text("snr_db,source,trials,errors,ber,stderr,flags\n"
                     "10,1,1000,10,0.01,0,\n")
-    code, _, err = run_cli(capsys, "slope", "--input", str(path),
-                           "--source", "1")
+    code, out, err = run_cli(capsys, "slope", "--input", str(path),
+                             "--source", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --input: ")
+    assert "slope window" in err and "Traceback" not in err
+
+
+HEADER = "snr_db,source,trials,errors,ber,stderr,flags\n"
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("snr,src\n10,1\n", "no 'snr_db' column"),
+    (HEADER + "10,1,1000,ten,0.01,0,\n20,1,1000,1,0.001,0,\n", "invalid literal"),
+    (HEADER + "10,1\n", "cannot read the sweep CSV"),
+    (HEADER + "10,1,1000,10,0.01,0,\n20,1,1000,0,0,0,\n", "zero-error"),
+])
+def test_slope_bad_input_names_the_flag(capsys, tmp_path, text, reason):
+    path = tmp_path / "sweep.csv"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "slope", "--input", str(path),
+                             "--source", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --input: ") and reason in err
+    assert len(err.splitlines()) == 1
+
+
+def test_internal_error_exits_1_with_traceback(capsys, monkeypatch, tmp_path):
+    def broken(*args):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setattr(netcode.cli, "estimate_diversity_slope", broken)
+    path = tmp_path / "sweep.csv"
+    path.write_text(HEADER + "10,1,1000,10,0.01,0,\n20,1,1000,1,0.001,0,\n")
+    code, out, err = run_cli(capsys, "slope", "--input", str(path),
+                             "--source", "1")
     assert code == 1
+    assert out == ""
     # an unexpected failure prints its traceback before the one-line error
     assert err.startswith("Traceback (most recent call last):")
-    assert err.splitlines()[-1].startswith("error: ")
-    assert "slope window" in err.splitlines()[-1]
+    assert "RuntimeError: internal fault" in err
+    assert err.splitlines()[-1] == "error: internal fault"
 
 
 # ------------------------------------------------------------------- general

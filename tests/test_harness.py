@@ -11,11 +11,14 @@ import pytest
 from netcode.channel import snc_threshold
 from netcode.design import (
     TradeoffPoint,
+    TradeoffRow,
+    code_for_requirements,
     greedy_code,
     rate_advantage,
     repetition_baseline,
     repetition_code,
     separation_vector,
+    tradeoff_table,
     _systematize,
 )
 from netcode.gf2 import BitMatrix
@@ -29,8 +32,6 @@ from netcode.harness import (
     records_to_csv,
     records_to_json_lines,
     run_sweep,
-    tradeoff_table,
-    TradeoffRow,
     _worker_count,
 )
 
@@ -114,9 +115,12 @@ def test_config_from_json_dict_is_strict(code1):
 def test_worker_count_from_environment(monkeypatch):
     monkeypatch.delenv("NETCODE_THREADS", raising=False)
     assert _worker_count() == 1
-    monkeypatch.setenv("NETCODE_THREADS", "3")
-    assert _worker_count() == 3
-    for bad in ["two", "-4", "0", "1.5", ""]:
+    most = os.cpu_count() or 1
+    monkeypatch.setenv("NETCODE_THREADS", str(most))
+    assert _worker_count() == most
+    # a pool would fork every worker at once, so more than the CPU count
+    # is an error, not a slow run
+    for bad in ["two", "-4", "0", "1.5", "", str(most + 1), "50000"]:
         monkeypatch.setenv("NETCODE_THREADS", bad)
         with pytest.raises(ConfigError, match="NETCODE_THREADS"):
             _worker_count()
@@ -333,6 +337,28 @@ def test_tradeoff_table_by_length_matches_walk_down_distance():
             _row_by_walk_down_distance(k, n) for n in lengths]
 
 
+def _row_from_designed_code(k, d):
+    """The by-distance trade-off row from the scheduled greedy code."""
+    code = code_for_requirements(k, d)
+    sep = code.sep
+    greedy = TradeoffPoint(code.rate, min(sep), max(sep), sum(sep) / k)
+    return TradeoffRow(k, code.n, d, greedy, repetition_baseline(k, k * d),
+                       float(code.rate * d))
+
+
+def test_tradeoff_table_by_distance_matches_designed_codes():
+    for k in range(1, 6):
+        assert tradeoff_table(k, d_range=range(1, 9)) == [
+            _row_from_designed_code(k, d) for d in range(1, 9)]
+
+
+def test_rate_advantage_matches_designed_code_length():
+    grid = [(k, d) for k in range(1, 6) for d in range(1, 9)]
+    for k, d in grid + [(k, 3) for k in range(3, 26)]:
+        assert rate_advantage(k, d) == float(
+            Fraction(k * d, code_for_requirements(k, d).n)), (k, d)
+
+
 def test_tradeoff_table_rejects_length_below_k():
     with pytest.raises(ValueError, match="length 2"):
         tradeoff_table(3, n_range=[4, 2, 5])
@@ -345,6 +371,9 @@ def test_tradeoff_table_argument_validation():
         tradeoff_table(3, n_range=range(3, 5), d_range=range(1, 3))
     with pytest.raises(ValueError):
         tradeoff_table(3, n_range=range(3, 3))
+    for ranges in [{"n_range": range(3, 5)}, {"n_range": [0]}, {"d_range": range(1, 3)}]:
+        with pytest.raises(ValueError, match="require k >= 1"):
+            tradeoff_table(0, **ranges)
 
 
 # -------------------------------------------------------------- serialization
