@@ -66,10 +66,11 @@ def link_error_prob(gamma):
 
 
 def snc_threshold(mean_snr: float) -> float:
-    """Rayleigh-averaged BPSK error probability at average SNR mean_snr."""
+    """Rayleigh-averaged BPSK error probability at average SNR mean_snr,
+    0.5 (1 - sqrt(m / (1 + m))) in a form that does not cancel."""
     if not mean_snr > 0:
         raise ValueError("mean SNR must be positive")
-    return 0.5 * (1.0 - np.sqrt(mean_snr / (1.0 + mean_snr)))
+    return 0.5 / ((1.0 + mean_snr) * (1.0 + np.sqrt(mean_snr / (1.0 + mean_snr))))
 
 
 def combine_reliability(per_source_errs):

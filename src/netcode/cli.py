@@ -23,8 +23,8 @@ from .design import (
     SearchLimitError,
     code_for_requirements,
     greedy_code,
+    scheduled_code,
     tradeoff_table,
-    _scheduled_code,
 )
 from .harness import (
     ConfigError,
@@ -123,7 +123,7 @@ def _cmd_design(args) -> int:
         if used < args.n:
             raise ConfigError(f"--n {args.n}: the greedy code at distance {args.d} "
                               f"leaves slots empty; it uses n = {used}")
-        code = _scheduled_code(B)
+        code = scheduled_code(B)
     else:
         with _search_limit("--d"):
             code = code_for_requirements(args.k, args.d)
@@ -138,12 +138,9 @@ def _cmd_analyze(args) -> int:
             code = NetworkCode.from_json_dict(json.load(fp))
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         raise ConfigError(f"cannot read code file: {exc}") from exc
-    if code.k > MAX_SEP_DIMENSION:
-        raise ConfigError(f"k = {code.k}: the code has more sources than "
-                          f"the separation vector allows ({MAX_SEP_DIMENSION})")
     try:
         sep = code.sep
-    except ValueError as exc:  # an all-zero row of G
+    except ValueError as exc:  # an all-zero row of G, or too many sources
         raise ConfigError(f"G: {exc}") from exc
     print(f"k = {code.k}, n = {code.n}, rate = {Fraction(code.k, code.n)}")
     print(f"separation vector = {list(sep)}")

@@ -142,9 +142,9 @@ def sp_decode_batch(
     round.  Coded variables have degree 1, so their messages into the
     checks are the composite channel LLRs and never change; so are the
     messages of the degree-1 checks, which are computed once per batch,
-    and the iterations run over the edges of the multi-source checks
-    only.  Returns (posterior_llrs, decisions); ties (LLR exactly 0)
-    decide 0.
+    and the check updates run over the multi-source edges only; each
+    iteration sums every source's messages anew, in edge order.  Returns
+    (posterior_llrs, decisions); ties (LLR exactly 0) decide 0.
     """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
@@ -161,15 +161,11 @@ def sp_decode_batch(
     t_lam.reshape(-1)[dropped] = 0.0
     msg = np.empty_like(t_lam)                     # check -> source messages
     _check_message(t_lam[m:], msg[m:])             # degree-1 checks: fixed
-    base = np.zeros((code.k, B))                   # per-source sums, in edge order
-    for i, e in plan.lead:
-        base[i] += msg[e]
-    totals = np.empty_like(base)
+    totals = np.empty((code.k, B))                 # per-source sums, in edge order
     # source -> check messages start at 0, and tanh(0) = 0 on a kept edge
     t = np.zeros((m, B))
     excl = np.empty_like(t)
     suf = np.empty(B)                              # running suffix product
-    loopy_src = plan.src[:m].tolist()
     for it in range(iters):
         if it:
             # t = tanh(m_vc / 2) on kept edges, in place
@@ -190,12 +186,11 @@ def sp_decode_batch(
             np.copyto(excl[lo], s)
         np.multiply(t_lam[:m], excl, out=excl)
         _check_message(excl, msg[:m])
-        np.copyto(totals, base)
-        for i, e in plan.tail:
+        totals.fill(0.0)
+        for i, e in plan.sums:
             totals[i] += msg[e]
         if it < iters - 1:                         # m_vc, unused on dropped edges
-            for e, i in enumerate(loopy_src):
-                np.subtract(totals[i], msg[e], out=t[e])
+            np.subtract(totals[plan.src[:m]], msg[:m], out=t)
     posterior_llrs = totals.T.copy()                # (B, k); source channel LLR is 0
     decisions = (posterior_llrs < 0).astype(np.uint8)
     return posterior_llrs, decisions

@@ -23,6 +23,7 @@ __all__ = [
     "separation_vector",
     "greedy_code",
     "code_for_requirements",
+    "scheduled_code",
     "default_schedule",
     "repetition_baseline",
     "repetition_code",
@@ -58,7 +59,8 @@ def separation_vector(G: BitMatrix) -> tuple[int, ...]:
     if k == 0:
         return ()
     if k > MAX_SEP_DIMENSION:
-        raise ValueError(f"dimension {k} exceeds practical limit {MAX_SEP_DIMENSION}")
+        raise ValueError(f"k = {k}: more sources than the separation vector "
+                         f"allows ({MAX_SEP_DIMENSION})")
     for i, m in enumerate(G.row_masks):
         if m == 0:
             raise ValueError(f"row {i} is all-zero; separation undefined")
@@ -246,18 +248,16 @@ class SpPlan(NamedTuple):
 
     Edges are stored with those of the multi-source checks first, then
     those of the degree-1 checks, each group in edge order (by check,
-    then by source).  A degree-1 check's message is fixed per batch.  A
-    source's total adds its messages in edge order, so only its run of
-    degree-1 edges ahead of its first multi-source edge (`lead`) can be
-    summed once per batch; the rest (`tail`) is added per iteration.
+    then by source).  A degree-1 check's message is fixed per batch.
+    `sums` lists every edge in edge order, so a source's total adds its
+    messages in the same order in every iteration.
     """
 
     src: np.ndarray                     # (E,) source of each stored edge
     chk: np.ndarray                     # (E,) check of each stored edge
     loopy: int                          # multi-source edges, stored first
     spans: tuple[tuple[int, int], ...]  # stored [lo, hi) of each multi-source check
-    lead: tuple[tuple[int, int], ...]   # (source, stored edge), summed once
-    tail: tuple[tuple[int, int], ...]   # (source, stored edge), summed per iteration
+    sums: tuple[tuple[int, int], ...]   # (source, stored edge), in edge order
 
 
 @dataclass(frozen=True)
@@ -304,11 +304,7 @@ class NetworkCode:
         edges = [(j, i) for j, srcs in enumerate(checks) for i in srcs]
         order = sorted(range(len(edges)), key=lambda e: len(checks[edges[e][0]]) == 1)
         where = {e: pos for pos, e in enumerate(order)}
-        lead, tail, looped = [], [], set()
-        for e, (j, i) in enumerate(edges):
-            if len(checks[j]) > 1:
-                looped.add(i)
-            (tail if i in looped else lead).append((i, where[e]))
+        sums = tuple((i, where[e]) for e, (_, i) in enumerate(edges))
         spans, hi = [], 0
         for srcs in checks:
             if len(srcs) > 1:
@@ -316,7 +312,7 @@ class NetworkCode:
                 hi += len(srcs)
         src, chk = (np.array([edges[e][c] for e in order], dtype=np.intp) for c in (1, 0))
         src.flags.writeable = chk.flags.writeable = False
-        return SpPlan(src, chk, hi, tuple(spans), tuple(lead), tuple(tail))
+        return SpPlan(src, chk, hi, tuple(spans), sums)
 
     @cached_property
     def relay_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -401,7 +397,7 @@ def network_code(G: BitMatrix, v: Sequence[int]) -> NetworkCode:
     return NetworkCode(G, tuple(int(x) for x in v))
 
 
-def _scheduled_code(B: BitMatrix) -> NetworkCode:
+def scheduled_code(B: BitMatrix) -> NetworkCode:
     """The systematic form of B with its default schedule."""
     G = _systematize(B)
     return network_code(G, default_schedule(G))
@@ -428,7 +424,7 @@ def _prefix(k: int, d: int, n: int | None = None) -> BitMatrix | None:
 def code_for_requirements(k: int, d: int) -> NetworkCode:
     """Smallest-length greedy code covering k sources at distance d, in
     systematic form with its default schedule."""
-    return _scheduled_code(_prefix(k, d))
+    return scheduled_code(_prefix(k, d))
 
 
 @dataclass(frozen=True)

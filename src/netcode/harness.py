@@ -310,12 +310,22 @@ def records_to_csv(records: Sequence[BerRecord], fp) -> None:
 
 
 def records_from_csv(fp) -> list[BerRecord]:
+    """Records from a sweep CSV.  Each point must list sources 1..k once
+    each, k being the first point's highest source, and its rows must
+    agree on `trials` and `flags`; otherwise ValueError names the point."""
     rows: dict[float, list[dict]] = {}  # in first-seen SNR order
     for row in csv.DictReader(fp):
         rows.setdefault(float(row["snr_db"]), []).append(row)
-    records = []
+    records, k = [], None
     for snr, group in rows.items():
         group = sorted(group, key=lambda r: int(r["source"]))
+        sources = [int(r["source"]) for r in group]
+        k = k or sources[-1]
+        if sources != list(range(1, k + 1)):
+            raise ValueError(f"snr_db {snr:.17g}: sources {sources}, "
+                             f"expected 1..{k} once each")
+        if len({(int(r["trials"]), r["flags"]) for r in group}) > 1:
+            raise ValueError(f"snr_db {snr:.17g}: rows disagree on trials or flags")
         errors = np.array([int(r["errors"]) for r in group], dtype=np.int64)
         records.append(BerRecord(snr, int(group[0]["trials"]), errors,
                                  group[0]["flags"]))

@@ -1,5 +1,6 @@
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -46,6 +47,22 @@ def test_snc_threshold_values():
     assert snc_threshold(1.0) == pytest.approx(0.14644660940672627)
     with pytest.raises(ValueError):
         snc_threshold(0.0)
+
+
+def test_snc_threshold_does_not_cancel(net34):
+    """0.5 (1 - sqrt(m/(1+m))) computed without cancellation: within
+    1e-15 relative of a 60-digit reference up to 150 dB, and still
+    positive at 170 dB, where selective encoding keeps every detection."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for db in (0, 30, 100, 150):
+            m = 10.0 ** (db / 10)
+            want = (1 - (Decimal(m) / (1 + Decimal(m))).sqrt()) / 2
+            assert abs(Decimal(snc_threshold(m)) - want) / want < Decimal("1e-15"), db
+    assert snc_threshold(1e17) > 0
+    batch = simulate_rounds(net34, FadingModel("block_iid", 1e17), SncPolicy(True),
+                            RNG(16), 400)
+    assert batch.pair_kept.all()
 
 
 def test_snc_threshold_is_mean_of_link_error_prob():

@@ -426,6 +426,18 @@ HEADER = "snr_db,source,trials,errors,ber,stderr,flags\n"
     (HEADER + "10,1,1000,ten,0.01,0,\n20,1,1000,1,0.001,0,\n", "invalid literal"),
     (HEADER + "10,1\n", "cannot read the sweep CSV"),
     (HEADER + "10,1,1000,10,0.01,0,\n20,1,1000,0,0,0,\n", "zero-error"),
+    (HEADER + "10,1,1000,10,0.01,0,\n10,2,1000,10,0.01,0,\n20,1,1000,1,0.001,0,\n",
+     "snr_db 20: sources [1], expected 1..2 once each"),
+    (HEADER + "10,1,1000,10,0.01,0,\n10,1,500,5,0.01,0,\n20,1,1000,1,0.001,0,\n",
+     "snr_db 10: sources [1, 1], expected 1..1 once each"),
+    (HEADER + "10,1,1000,10,0.01,0,\n20,2,1000,1,0.001,0,\n",
+     "snr_db 20: sources [2], expected 1..1 once each"),
+    (HEADER + "10,1,1000,10,0.01,0,\n10,2,500,10,0.02,0,\n"
+     "20,1,1000,1,0.001,0,\n20,2,1000,1,0.001,0,\n",
+     "snr_db 10: rows disagree on trials or flags"),
+    (HEADER + "10,1,1000,10,0.01,0,\n10,2,1000,10,0.01,0,capped\n"
+     "20,1,1000,1,0.001,0,\n20,2,1000,1,0.001,0,\n",
+     "snr_db 10: rows disagree on trials or flags"),
 ])
 def test_slope_bad_input_names_the_flag(capsys, tmp_path, text, reason):
     path = tmp_path / "sweep.csv"

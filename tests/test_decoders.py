@@ -342,15 +342,16 @@ def test_sp_matches_oracle_when_a_degree_1_check_comes_late(snc, iters):
 def test_sp_equals_flooding_over_every_edge_bit_for_bit(net34, code1, snc):
     """Computing the degree-1 checks once and iterating over the
     multi-source edges only changes no bit of the output, sign bits
-    included, on a code whose degree-1 check comes after its
-    multi-source checks too."""
-    codes = [net34, code1, code_for_requirements(6, 3), repetition_code(3, 7),
-             _late_degree_1_code()]
+    included: on a code whose degree-1 check comes after its
+    multi-source checks too, on the k = 10 design the benchmark
+    decodes, and over up to 8 iterations."""
+    codes = [net34, code1, code_for_requirements(6, 3), code_for_requirements(10, 3),
+             repetition_code(3, 7), _late_degree_1_code()]
     for c, code in enumerate(codes):
         for db in (0, 8, 30):
             batch = simulate_rounds(code, FadingModel("block_iid", 10 ** (db / 10)),
                                     SncPolicy(snc), RNG([300, c, db]), 400)
-            for iters in (1, 2, 4):
+            for iters in (1, 2, 4, 8):
                 llrs, dec = sp_decode_batch(batch, code, iters=iters)
                 want = sp_flooding_reference(batch, code, iters=iters)
                 assert np.array_equal(llrs, want)

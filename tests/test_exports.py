@@ -1,8 +1,10 @@
 """Every exported name resolves.  The per-layer tracer in
 `perfbench/spans.py` looks up each name of a module's `__all__`, so a
 stale entry breaks traced benchmark runs."""
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -41,3 +43,14 @@ def test_benchmark_names_stay_exported():
         mod = importlib.import_module(value.__module__)
         assert name in mod.__all__
     assert callable(netcode.BitMatrix.from_rows)
+
+
+def test_no_module_imports_a_private_name():
+    """A name one module needs from another is public in the other."""
+    private = []
+    for path in sorted(Path(netcode.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                private += [f"{path.name}: {a.name}" for a in node.names
+                            if a.name.startswith("_")]
+    assert private == []
