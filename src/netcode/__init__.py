@@ -2,7 +2,7 @@
 detect-and-forward relay simulation over Rayleigh fading, and MAP /
 sum-product decoding with relay reliability information."""
 
-from .gf2 import BitMatrix, column_select, is_systematic_prefix
+from .gf2 import BitMatrix, is_systematic_prefix
 from .design import (
     NetworkCode,
     TradeoffPoint,
@@ -22,7 +22,6 @@ from .channel import (
     SncPolicy,
     combine_reliability,
     link_error_prob,
-    q_function,
     simulate_rounds,
     snc_threshold,
 )

@@ -15,7 +15,6 @@ import math
 import sys
 import traceback
 from contextlib import contextmanager
-from fractions import Fraction
 
 from .design import (
     MAX_SEP_DIMENSION,
@@ -114,11 +113,12 @@ def _cmd_design(args) -> int:
     if args.n is not None:
         if args.n < args.d:
             raise ConfigError(f"--n {args.n} is below --d {args.d}")
-        with _search_limit("--d"):
+        try:
             B = greedy_code(args.n, args.d)
-        if B.rows > MAX_SEP_DIMENSION:
-            raise ConfigError(f"--n {args.n}: the greedy code at distance {args.d} "
-                              f"has {B.rows} sources, above {MAX_SEP_DIMENSION}")
+        except SearchLimitError as exc:
+            raise ConfigError(f"--d: {exc}") from exc
+        except ValueError as exc:  # more sources than the separation vector allows
+            raise ConfigError(f"--n {args.n}: {exc}") from exc
         used = max(B.row_masks).bit_length()
         if used < args.n:
             raise ConfigError(f"--n {args.n}: the greedy code at distance {args.d} "
@@ -142,7 +142,7 @@ def _cmd_analyze(args) -> int:
         sep = code.sep
     except ValueError as exc:  # an all-zero row of G, or too many sources
         raise ConfigError(f"G: {exc}") from exc
-    print(f"k = {code.k}, n = {code.n}, rate = {Fraction(code.k, code.n)}")
+    print(f"k = {code.k}, n = {code.n}, rate = {code.rate}")
     print(f"separation vector = {list(sep)}")
     print(f"schedule = {list(code.v)}")
     print(f"schedule valid = {not code.schedule_violations}")

@@ -28,9 +28,6 @@ MAP_SIZE_LIMIT = 26
 # hypothesis and slot); a NET34 batch of 65 536 rounds fits in one chunk.
 MAP_CHUNK_BYTES = 1 << 24
 
-# Message clamp applied ahead of the tanh rule so extreme reliabilities
-# cannot overflow while leaving hard decisions untouched.
-LLR_CLAMP = 40.0
 _ATANH_EPS = 1e-15
 
 
@@ -143,12 +140,15 @@ def sp_decode_batch(
     checks are the composite channel LLRs and never change; so are the
     messages of the degree-1 checks, which are computed once per batch,
     and the check updates run over the multi-source edges only; each
-    iteration sums every source's messages anew, in edge order.  Returns
-    (posterior_llrs, decisions); ties (LLR exactly 0) decide 0.
+    iteration sums every source's messages anew, in edge order.  No LLR
+    needs a clamp ahead of the tanh rule: in float64 tanh(x/2) is exactly
+    +-1 for every |x| >= 38, infinities included, and each check message
+    is 2 atanh of a product clipped short of +-1, so it stays finite.
+    Returns (posterior_llrs, decisions); ties (LLR exactly 0) decide 0.
     """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
-    lam = np.clip(_slot_llrs(batch, noise), -LLR_CLAMP, LLR_CLAMP)
+    lam = _slot_llrs(batch, noise)
     plan = code.plan
     m = plan.loopy
     B = len(batch)
@@ -169,7 +169,6 @@ def sp_decode_batch(
     for it in range(iters):
         if it:
             # t = tanh(m_vc / 2) on kept edges, in place
-            np.clip(t, -LLR_CLAMP, LLR_CLAMP, out=t)
             np.divide(t, 2.0, out=t)
             np.tanh(t, out=t)
         t.reshape(-1)[loopy_dropped] = 1.0         # dropped edges: factor 1

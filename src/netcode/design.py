@@ -14,7 +14,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .gf2 import BitMatrix, column_select, is_systematic_prefix
+from .gf2 import BitMatrix, is_systematic_prefix
 
 __all__ = [
     "NetworkCode",
@@ -188,8 +188,15 @@ def _lexicode(n: int, d: int, k: int | None = None) -> Iterator[int]:
 
 
 def greedy_code(n: int, d: int) -> BitMatrix:
-    """Binary lexicode of length n and distance >= d: all rows of `_lexicode`."""
-    basis = tuple(_lexicode(n, d))
+    """Binary lexicode of length n and distance >= d: all rows of
+    `_lexicode`.  Raises ValueError once the pass admits a row past
+    `MAX_SEP_DIMENSION`, which no separation vector covers; a pass short
+    of it runs to length n, so its table floor there is checked first."""
+    _check_table(_weight_ball(n - 1, (d - 1) // 2, MAX_COSET_TABLE), d, n - 1)
+    basis = tuple(_lexicode(n, d, MAX_SEP_DIMENSION + 1))
+    if len(basis) > MAX_SEP_DIMENSION:
+        raise ValueError(f"the greedy code at distance {d} has more than "
+                         f"{MAX_SEP_DIMENSION} sources")
     return BitMatrix(basis, len(basis), n)
 
 
@@ -221,8 +228,11 @@ def _systematize(G: BitMatrix) -> BitMatrix:
             break
     if len(pivots) < k:
         raise ValueError("rows are linearly dependent; cannot systematize")
+    # column pos of the result is column order[pos] of the reduced rows
     order = pivots + [j for j in range(n) if j not in pivots]
-    return column_select(BitMatrix(tuple(rows_done), k, n), order)
+    masks = tuple(sum((m >> j & 1) << pos for pos, j in enumerate(order))
+                  for m in rows_done)
+    return BitMatrix(masks, k, n)
 
 
 def default_schedule(G: BitMatrix) -> tuple[int, ...]:

@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "BitMatrix",
-    "column_select",
     "is_systematic_prefix",
 ]
 
@@ -67,24 +66,6 @@ class BitMatrix:
     def to_array(self) -> np.ndarray:
         """Dense (rows, cols) uint8 array."""
         return np.array(self.to_lists(), dtype=np.uint8).reshape(self.rows, self.cols)
-
-
-def column_select(G: BitMatrix, keep: Sequence[int]) -> BitMatrix:
-    """New matrix with only the columns in `keep`, order preserved."""
-    seen = set()
-    for j in keep:
-        if not 0 <= j < G.cols:
-            raise ValueError(f"column index {j} out of range")
-        if j in seen:
-            raise ValueError(f"duplicate column index {j}")
-        seen.add(j)
-    masks = []
-    for m in G.row_masks:
-        packed = 0
-        for pos, j in enumerate(keep):
-            packed |= ((m >> j) & 1) << pos
-        masks.append(packed)
-    return BitMatrix(tuple(masks), G.rows, len(keep))
 
 
 def is_systematic_prefix(G: BitMatrix) -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -40,6 +39,11 @@ __all__ = [
 
 CSV_COLUMNS = ("snr_db", "source", "trials", "errors", "ber", "stderr", "flags")
 
+# Widest |snr_db| over which the channel and decoder arithmetic stay
+# finite: the mean SNR stays a normal float64, and the channel LLRs, about
+# 4e300 at the top, overflow only from about 3066 dB (README, snr_grid_db).
+SNR_DB_LIMIT = 3000.0
+
 
 class ConfigError(ValueError):
     """Invalid simulation configuration."""
@@ -60,12 +64,18 @@ class SimConfig:
     batch_size: int = 1 << 16
 
     def __post_init__(self):
-        if not self.snr_grid_db:
+        grid = self.snr_grid_db
+        if not grid:
             raise ConfigError("SNR grid is empty")
-        if not all(map(math.isfinite, self.snr_grid_db)):
-            raise ConfigError("snr_grid_db entries must be finite")
-        if any(b <= a for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):
-            raise ConfigError("SNR grid must be strictly increasing")
+        # an increasing grid lies within the limit iff its ends do; a NaN
+        # fails every comparison, and none needs float(), which overflows
+        # on a huge JSON integer
+        if not (-SNR_DB_LIMIT <= grid[0] and grid[-1] <= SNR_DB_LIMIT):
+            raise ConfigError(f"snr_grid_db entries must lie in "
+                              f"-{SNR_DB_LIMIT:g}..{SNR_DB_LIMIT:g} dB")
+        if not all(a < b for a, b in zip(grid, grid[1:])):
+            raise ConfigError("snr_grid_db must be strictly increasing")
+        object.__setattr__(self, "snr_grid_db", tuple(map(float, grid)))
         if self.min_errors_per_bit < 1:
             raise ConfigError("min_errors_per_bit must be >= 1")
         if self.max_trials < 0:
@@ -125,7 +135,7 @@ class SimConfig:
                 want = type(_CONFIG_DEFAULTS[name])
                 if type(value) is not want:
                     raise ConfigError(f"{name} must be {want.__name__}, got {value!r}")
-            return cls(code=code, snr_grid_db=tuple(map(float, grid)), **kwargs)
+            return cls(code=code, snr_grid_db=tuple(grid), **kwargs)
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
 

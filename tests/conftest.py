@@ -140,18 +140,21 @@ def sp_flooding_reference(batch, code, iters=4, noise=1.0):
     degree-1 checks included, with the production decoder's arithmetic
     in the same order: per-source totals add the check messages in edge
     order (by check, then by source) from zero, so the plan-based
-    decoder must equal it bit for bit, signed zeros included."""
-    from netcode.decoders import _ATANH_EPS, LLR_CLAMP, channel_llr, llr_chat
+    decoder must equal it bit for bit, signed zeros included.  It clips
+    every LLR to +-40 ahead of the tanh rule, where tanh(x/2) is already
+    +-1, so the unclamped decoder must match it there too."""
+    from netcode.decoders import _ATANH_EPS, channel_llr, llr_chat
+    clamp = 40.0
     checks = code.check_sources
     chk = [j for j, srcs in enumerate(checks) for _ in srcs]
     src = [i for srcs in checks for i in srcs]
     lam = np.clip(channel_llr(llr_chat(batch.y, batch.h, noise), batch.p_e),
-                  -LLR_CLAMP, LLR_CLAMP)
+                  -clamp, clamp)
     kept = batch.g_eff[:, src, chk].T == 1
     t_lam = np.where(kept, np.tanh(lam / 2.0).T[chk], 0.0)
     m_vc = np.zeros(t_lam.shape)
     for _ in range(iters):
-        t = np.where(kept, np.tanh(np.clip(m_vc, -LLR_CLAMP, LLR_CLAMP) / 2.0), 1.0)
+        t = np.where(kept, np.tanh(np.clip(m_vc, -clamp, clamp) / 2.0), 1.0)
         excl = np.ones_like(t)
         hi = 0
         for srcs in checks:

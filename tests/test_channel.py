@@ -11,7 +11,6 @@ from netcode.channel import (
     SncPolicy,
     combine_reliability,
     link_error_prob,
-    q_function,
     simulate_rounds,
     snc_threshold,
 )
@@ -21,22 +20,21 @@ RNG = lambda s: np.random.default_rng(s)
 
 # ------------------------------------------------------------ scalar helpers
 
-def test_q_function_values():
-    assert q_function(0.0) == pytest.approx(0.5)
-    assert q_function(1.0) == pytest.approx(0.15865525393145707, abs=1e-12)
-    assert q_function(-1.0) == pytest.approx(1 - 0.15865525393145707, abs=1e-12)
+def test_link_error_prob_is_gaussian_tail():
+    """link_error_prob(x^2 / 2) = Q(x) for x >= 0."""
+    assert link_error_prob(0.5) == pytest.approx(0.15865525393145707, abs=1e-12)
 
 
-def test_q_function_matches_quadrature():
+def test_link_error_prob_matches_quadrature():
     for x in [0.0, 0.3, 1.0, 2.5, 4.0]:
         integral, _ = quad(
             lambda t: math.exp(-t * t / 2) / math.sqrt(2 * math.pi), x, np.inf)
-        assert q_function(x) == pytest.approx(integral, rel=1e-9)
+        assert link_error_prob(x * x / 2) == pytest.approx(integral, rel=1e-9)
 
 
 def test_link_error_prob_values():
     assert link_error_prob(0.0) == pytest.approx(0.5)
-    assert link_error_prob(1.0) == pytest.approx(q_function(math.sqrt(2.0)))
+    assert link_error_prob(1.0) == pytest.approx(0.5 * math.erfc(1.0))
     assert link_error_prob(1.0) == pytest.approx(0.0786496, abs=1e-6)
     with pytest.raises(ValueError):
         link_error_prob(-0.1)

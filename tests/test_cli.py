@@ -53,6 +53,19 @@ def test_design_by_length_rejects_empty_slots(capsys):
     assert "--n 4" in err and "n = 3" in err
 
 
+@pytest.mark.parametrize("n, d", [(100_000, 1), (10_000, 3)])
+def test_design_by_length_stops_past_the_source_limit(capsys, n, d):
+    """The lexicode pass stops at the row past the separation vector's
+    limit instead of building every row first."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "design", "--n", str(n), "--d", str(d))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: --n {n}: the greedy code at distance {d} "
+                   f"has more than 28 sources\n")
+
+
 def test_design_requires_k_or_n(capsys):
     code, _, err = run_cli(capsys, "design", "--d", "3")
     assert code == 2
@@ -155,13 +168,18 @@ def test_simulate_missing_config(capsys, tmp_path):
     assert "cannot read config" in err
 
 
-def test_simulate_invalid_config(capsys, tmp_path):
+@pytest.mark.parametrize("config, message", [
+    ({"design": {"k": 3, "d": 3}, "snr_grid_db": [4.0, 2.0]}, "increasing"),
+    ([1, 2], "config must be a JSON object"),
+    ({"design": {"k": 3, "d": 3}}, "malformed config: 'snr_grid_db'"),
+])
+def test_simulate_invalid_config(capsys, tmp_path, config, message):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"design": {"k": 3, "d": 3},
-                                "snr_grid_db": [4.0, 2.0]}))
-    code, _, err = run_cli(capsys, "simulate", "--config", str(path))
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
     assert code == 2
-    assert "increasing" in err
+    assert out == ""
+    assert message in err
 
 
 def _write_config(tmp_path, network, **over):
@@ -184,6 +202,12 @@ def _write_config(tmp_path, network, **over):
     ({"master_seed": -1}, "master_seed"),
     ({"snr_grid_db": [float("nan")]}, "snr_grid_db"),
     ({"snr_grid_db": [0.0, float("inf")]}, "snr_grid_db"),
+    ({"snr_grid_db": [0.0, float("nan"), 5.0]}, "snr_grid_db"),
+    # past the range the channel arithmetic carries, or a float cannot hold
+    ({"snr_grid_db": [3080]}, "snr_grid_db"),
+    ({"snr_grid_db": [4000]}, "snr_grid_db"),
+    ({"snr_grid_db": [10**400]}, "snr_grid_db"),
+    ({"snr_grid_db": [-3300]}, "snr_grid_db"),
 ])
 def test_simulate_rejects_bad_config_field(capsys, tmp_path, code1, over, field):
     path = _write_config(tmp_path, code1, **over)
@@ -244,13 +268,15 @@ _NET34_G = [1, 0, 1, 1, 0, 1, 0, 1, 0, 0, 1, 0]
     ({"G": [1.0] + _NET34_G[1:]}, "G must be a list of integers 0 and 1"),
     ({"G": [2] + _NET34_G[1:]}, "G must be a list of integers 0 and 1"),
     ({"k": 0, "n": 0, "G": [], "v": []}, "k must be an integer >= 1, got 0"),
+    ({"n": 0, "G": [], "v": []}, "n must be an integer >= 1, got 0"),
     ({"seps": [2, 2, 1]}, "unknown code key(s): seps"),
+    ([3, 4], "expected a JSON object with k, n, G and v"),
 ], ids=["v-float", "v-bool", "k-str", "k-float", "G-bool", "G-float", "G-two",
-        "k-n-zero", "unknown-key"])
+        "k-n-zero", "n-zero", "unknown-key", "not-an-object"])
 def test_code_json_is_strict(capsys, tmp_path, net34, command, over, message):
     """A code file or inline code that is not exactly integers exits 2
     naming the field, before anything runs."""
-    obj = {**net34.to_json_dict(), **over}
+    obj = {**net34.to_json_dict(), **over} if type(over) is dict else over
     if command == "analyze":
         path = tmp_path / "code.json"
         path.write_text(json.dumps(obj))
@@ -328,6 +354,7 @@ def test_tradeoff_bad_range_syntax(capsys):
     (("design", "--k", "29", "--d", "3"), "--k"),
     (("tradeoff", "--k", "30", "--n-range", "30:40"), "--k"),
     (("design", "--n", "40", "--d", "3"), "--n"),
+    (("design", "--k", "abc", "--d", "3"), "--k"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

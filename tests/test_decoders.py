@@ -431,6 +431,15 @@ def test_sp_finite_under_extreme_llrs(code1):
     assert np.isfinite(llrs).all()
 
 
+@pytest.mark.parametrize("decode", [map_decode_batch, sp_decode_batch])
+@pytest.mark.parametrize("field, value", [("y", np.nan), ("h", np.inf)])
+def test_non_finite_observation_rejected(code1, decode, field, value):
+    batch = simulate_rounds(code1, FadingModel(), SncPolicy(), RNG(45), 4)
+    getattr(batch, field)[1, 2] = value
+    with pytest.raises(ValueError, match="non-finite observation"):
+        decode(batch, code1)
+
+
 # ---------------------------------------------------------------- mode logic
 
 def test_mode_validation(code1):

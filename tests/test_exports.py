@@ -54,3 +54,50 @@ def test_no_module_imports_a_private_name():
                 private += [f"{path.name}: {a.name}" for a in node.names
                             if a.name.startswith("_")]
     assert private == []
+
+
+# Exported names that no module calls, each kept for a result of the paper.
+UNCALLED_EXPORTS = {
+    "repetition_code": "the paper's repetition baseline as a code that can "
+                       "be simulated",
+    "rate_advantage": "criterion 3's curve of greedy over repetition rate",
+    "compare_sweeps": "SNR gaps between sweeps, criteria 6 and 8",
+}
+
+
+def _references(tree):
+    """Names a module's code refers to (Name and Attribute nodes), each
+    outside the definition of the same name; strings, imports and
+    `__all__` entries are not references."""
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and node.id not in inside:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_exported_function_or_class_has_a_caller():
+    """A public name that only tests use must earn its place: each
+    function or class in a module's `__all__` is referenced somewhere in
+    the package or the benchmark, or is listed in UNCALLED_EXPORTS."""
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted((root / "src" / "netcode").glob("*.py"))
+    paths += sorted((root / "perfbench").glob("*.py"))
+    assert len(paths) > len(MODULES)
+    refs = set().union(*(_references(ast.parse(p.read_text())) for p in paths))
+    exported = set()
+    for name in MODULES:
+        mod = importlib.import_module(f"netcode.{name}")
+        exported |= {attr for attr in mod.__all__ if callable(getattr(mod, attr))}
+    assert set(UNCALLED_EXPORTS) <= exported
+    assert sorted(exported - refs - set(UNCALLED_EXPORTS)) == []
+    assert sorted(set(UNCALLED_EXPORTS) & refs) == []

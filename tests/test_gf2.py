@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from netcode.gf2 import BitMatrix, column_select, is_systematic_prefix
+from netcode.gf2 import BitMatrix, is_systematic_prefix
 
 
 def test_bitmatrix_constructors_agree():
@@ -38,29 +38,6 @@ def test_bitmatrix_validation():
         BitMatrix.from_rows([[0, 2, 1]])  # not a GF(2) element
     with pytest.raises(ValueError):
         BitMatrix((0b100,), 1, 2)  # mask outside columns
-
-
-def test_column_select_basic():
-    A = BitMatrix.from_rows([[1, 0, 1, 1], [0, 1, 0, 1]])
-    sel = column_select(A, [3, 0])
-    assert sel.to_lists() == [[1, 1], [1, 0]]
-    with pytest.raises(ValueError):
-        column_select(A, [0, 0])
-    with pytest.raises(ValueError):
-        column_select(A, [4])
-
-
-def test_column_select_permutation_roundtrip():
-    rng = np.random.default_rng(4)
-    for _ in range(100):
-        k = int(rng.integers(1, 8))
-        n = int(rng.integers(2, 16))
-        A = BitMatrix.from_rows(rng.integers(0, 2, (k, n)).tolist())
-        perm = rng.permutation(n).tolist()
-        inv = [0] * n
-        for pos, j in enumerate(perm):
-            inv[j] = pos
-        assert column_select(column_select(A, perm), inv) == A
 
 
 def test_is_systematic_prefix():

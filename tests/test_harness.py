@@ -285,6 +285,14 @@ def test_compare_sweeps_known_offset():
     assert gaps[0] == pytest.approx(10.0, abs=1e-6)
 
 
+def test_compare_sweeps_flat_segment_gives_its_first_snr():
+    flat = [BerRecord(snr, 1000, np.array([errors]))
+            for snr, errors in [(15.0, 10), (25.0, 10), (35.0, 1)]]
+    ref = [BerRecord(0.0, 1000, np.array([100])), BerRecord(20.0, 1000, np.array([1]))]
+    # the reference crosses BER 1e-2 at 10 dB, the flat sweep first at 15 dB
+    assert compare_sweeps(flat, ref, 1e-2) == pytest.approx([5.0], abs=1e-12)
+
+
 def test_compare_sweeps_unbracketed_target():
     records = _synthetic_records(0.1, 2.0, [10.0, 20.0])
     with pytest.raises(ValueError):
