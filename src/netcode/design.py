@@ -121,10 +121,10 @@ def _griesmer_length(k: int, d: int) -> int:
     return sum(-(-d // 2**i) for i in range(k))
 
 
-def _lexicode(n: int, d: int, k: int | None = None) -> Iterator[int]:
+def _lexicode(n: int, d: int, k: int) -> Iterator[int]:
     """Basis rows of the binary lexicode of length n and minimum distance
-    >= d, yielded in the order they are admitted; with `k`, the pass
-    stops after the k-th row.
+    >= d, yielded in the order they are admitted; the pass stops after
+    the k-th row.
 
     Vectors are admitted greedily in lexicographic order, starting from
     zero, whenever their distance to every previously admitted vector is
@@ -144,11 +144,10 @@ def _lexicode(n: int, d: int, k: int | None = None) -> Iterator[int]:
     # in a coset of its own; and the vectors of weight <= d-2 below p fill
     # cosets of 2^(k-1) vectors at most, since fewer than k rows lie below
     # the k-th.
-    p = n - 1 if k is None else min(n, _griesmer_length(k, d)) - 1
+    p = min(n, _griesmer_length(k, d)) - 1
     cosets = _weight_ball(p, (d - 1) // 2, MAX_COSET_TABLE)
-    if k is not None:
-        ball = _weight_ball(p, d - 2, MAX_COSET_TABLE << (k - 1))
-        cosets = max(cosets, -(-ball >> (k - 1)))
+    ball = _weight_ball(p, d - 2, MAX_COSET_TABLE << (k - 1))
+    cosets = max(cosets, -(-ball >> (k - 1)))
     _check_table(cosets, d, p)
     rows: list[int] = []
     tops = 0  # the rows' top bits
@@ -190,8 +189,8 @@ def _lexicode(n: int, d: int, k: int | None = None) -> Iterator[int]:
 def greedy_code(n: int, d: int) -> BitMatrix:
     """Binary lexicode of length n and distance >= d: all rows of
     `_lexicode`.  Raises ValueError once the pass admits a row past
-    `MAX_SEP_DIMENSION`, which no separation vector covers; a pass short
-    of it runs to length n, so its table floor there is checked first."""
+    `MAX_SEP_DIMENSION`, which no separation vector covers; a pass with
+    at most that many rows runs to n, whose table floor is checked first."""
     _check_table(_weight_ball(n - 1, (d - 1) // 2, MAX_COSET_TABLE), d, n - 1)
     basis = tuple(_lexicode(n, d, MAX_SEP_DIMENSION + 1))
     if len(basis) > MAX_SEP_DIMENSION:

@@ -74,7 +74,7 @@ class SimConfig:
             raise ConfigError(f"snr_grid_db entries must lie in "
                               f"-{SNR_DB_LIMIT:g}..{SNR_DB_LIMIT:g} dB")
         if not all(a < b for a, b in zip(grid, grid[1:])):
-            raise ConfigError("snr_grid_db must be strictly increasing")
+            raise ConfigError("snr_grid_db must be strictly increasing, with no NaN")
         object.__setattr__(self, "snr_grid_db", tuple(map(float, grid)))
         if self.min_errors_per_bit < 1:
             raise ConfigError("min_errors_per_bit must be >= 1")

@@ -202,7 +202,8 @@ def _write_config(tmp_path, network, **over):
     ({"master_seed": -1}, "master_seed"),
     ({"snr_grid_db": [float("nan")]}, "snr_grid_db"),
     ({"snr_grid_db": [0.0, float("inf")]}, "snr_grid_db"),
-    ({"snr_grid_db": [0.0, float("nan"), 5.0]}, "snr_grid_db"),
+    ({"snr_grid_db": [0.0, float("nan"), 5.0]},
+     "snr_grid_db must be strictly increasing, with no NaN"),
     # past the range the channel arithmetic carries, or a float cannot hold
     ({"snr_grid_db": [3080]}, "snr_grid_db"),
     ({"snr_grid_db": [4000]}, "snr_grid_db"),
