@@ -41,9 +41,11 @@ def llr_chat(y, h, noise):
 def channel_llr(llr_chat_val, p_e):
     """LLR of the error-free coded bit given the relay error probability.
 
-    Evaluates ln[(e^a e^b + 1) / (e^a + e^b)] with a = ln((1-p)/p),
-    b = the raw channel LLR, in log-sum-exp form for stability, on the
-    entries where the relay can err (p > 0); elsewhere it is b itself.
+    Evaluates f(b) = ln[(e^a e^b + 1) / (e^a + e^b)] with a = ln((1-p)/p),
+    b = the raw channel LLR, on the entries where the relay can err
+    (p > 0); elsewhere it is b itself.  f is odd, so it is taken as
+    lse(a + y, 0) - lse(a, y) at y = -|b|, where neither log-sum-exp
+    cancels (|b| up to infinity gives -a), and given the sign of b.
     """
     b, p = np.broadcast_arrays(np.asarray(llr_chat_val, dtype=float),
                                np.asarray(p_e, dtype=float))
@@ -52,11 +54,17 @@ def channel_llr(llr_chat_val, p_e):
     err = p > 0
     pe, be = p[err], b[err]
     a = np.log1p(-pe) - np.log(pe)
+    y = -np.abs(be)
     out = b.copy()
-    out[err] = np.logaddexp(a + be, 0.0) - np.logaddexp(a, be)
+    out[err] = np.copysign(_lse(a + y, 0.0) - _lse(a, y), be)
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _lse(u, v):
+    """ln(e^u + e^v), elementwise."""
+    return np.maximum(u, v) + np.log1p(np.exp(-np.abs(u - v)))
 
 
 def _slot_llrs(batch: RoundBatch, noise: float) -> np.ndarray:
@@ -81,46 +89,52 @@ def map_decode_batch(batch: RoundBatch, code: NetworkCode, noise: float = 1.0,
     k, n = code.k, code.n
     if k + n > MAP_SIZE_LIMIT:
         raise ValueError(f"k + n = {k + n} exceeds MAP guard {MAP_SIZE_LIMIT}")
-    lam = _slot_llrs(batch, noise)
-    M = 1 << k
+    neg_lam = np.negative(_slot_llrs(batch, noise).T, order="C")  # (n, B)
+    M, B = 1 << k, len(batch)
     # Without selective encoding every round shares one generator matrix.
     g = batch.g_eff
     shared = (g == g[:1]).all()
-    U = ((np.arange(M)[:, None] >> np.arange(k)) & 1).astype(float)  # (M, k) data bits
-    posterior = np.empty((len(batch), k))
-    llrs = np.empty((len(batch), k)) if with_llrs else None
+    p1 = np.empty((k, B))                                  # P(u_i = 1 | y)
+    llrs = np.empty((k, B)) if with_llrs else None
     step = max(1, MAP_CHUNK_BYTES // (8 * M * n))
-    for lo in range(0, len(batch), step):
+    for lo in range(0, B, step):
         rows = slice(lo, lo + step)
-        gc = (g[:1] if shared else g[rows]).astype(float)
-        # codeword tables: hypothesis m carries u_i = (m >> i) & 1, so the
-        # codewords of m in [2^i, 2^(i+1)) are those of m - 2^i XOR row i.
-        cu = np.zeros((len(gc), M, n))
+        gc = g[:1] if shared else g[rows]
+        # codeword tables, (M, rounds, n): hypothesis m carries u_i = (m >> i)
+        # & 1, so the codewords of m in [2^i, 2^(i+1)) are those of m - 2^i
+        # XOR row i.
+        cu = np.zeros((M, len(gc), n))
         for i in range(k):
-            np.not_equal(cu[:, :1 << i], gc[:, i, None, :], out=cu[:, 1 << i:2 << i])
+            np.not_equal(cu[:1 << i], gc[:, i], out=cu[1 << i:2 << i])
         # log-likelihood of each hypothesis, up to a per-round constant: minus
-        # the slot LLRs (relay errors marginalized) summed over its coded 1s
-        # (the thin products go through einsum: BLAS threads only contend here;
-        # a shared table's round axis of length 1 broadcasts over the chunk)
-        score = np.einsum("bmn,bn->bm", cu, -lam[rows])
-        score -= score.max(axis=1, keepdims=True)
+        # the slot LLRs (relay errors marginalized) summed over its coded 1s,
+        # hypothesis-major, (M, rounds) (the thin products go through einsum:
+        # BLAS threads only contend here)
+        score = (np.einsum("mn,nb->mb", cu[:, 0], neg_lam[:, rows]) if shared
+                 else np.einsum("mbn,nb->mb", cu, neg_lam[:, rows]))
+        score -= score.max(axis=0)
         like = np.exp(score)
-        posterior[rows] = (np.einsum("bm,mk->bk", like, U)
-                           / like.sum(axis=1, keepdims=True))
-        if with_llrs:
-            llrs[rows] = np.stack([_logsumexp(score[:, U[:, i] == 0], axis=1)
-                                   - _logsumexp(score[:, U[:, i] == 1], axis=1)
-                                   for i in range(k)], axis=1)
+        # the rows with u_i = 1 are the second of each pair of blocks of 2^i
+        for i in range(k):
+            blocks = (-1, 2, 1 << i, like.shape[1])
+            like.reshape(blocks)[:, 1].sum(axis=(0, 1), out=p1[i, rows])
+            if with_llrs:
+                s = score.reshape(blocks)
+                llrs[i, rows] = _logsumexp(s[:, 0]) - _logsumexp(s[:, 1])
+        p1[:, rows] /= like.sum(axis=0)
+    posterior = p1.T.copy()
     decisions = (posterior > 0.5).astype(np.uint8)
     if not with_llrs:
         return posterior, decisions
-    return posterior, decisions, llrs
+    return posterior, decisions, llrs.T.copy()
 
 
-def _logsumexp(x, axis):
-    m = np.max(x, axis=axis, keepdims=True)
+def _logsumexp(x):
+    """ln sum exp over the leading two axes of (., ., rounds) x."""
+    x = x.reshape(-1, x.shape[-1])
+    m = x.max(axis=0)
     m = np.where(np.isfinite(m), m, 0.0)
-    return (m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))).squeeze(axis)
+    return m + np.log(np.exp(x - m).sum(axis=0))
 
 
 def sp_decode_batch(

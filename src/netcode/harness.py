@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -343,6 +344,10 @@ def records_from_csv(fp) -> list[BerRecord]:
 
 
 def records_to_json_lines(records: Sequence[BerRecord], fp) -> None:
-    """JSON-lines emission with the same fields as the CSV."""
+    """JSON-lines emission with the same fields as the CSV; a `ber` or
+    `stderr` that is not a number (a point with no trials) is null."""
     for row in _rows(records):
-        fp.write(json.dumps(row) + "\n")
+        for key in ("ber", "stderr"):
+            if not math.isfinite(row[key]):
+                row[key] = None
+        fp.write(json.dumps(row, allow_nan=False) + "\n")

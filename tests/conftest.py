@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erfc
 
+from netcode.channel import RoundBatch, combine_reliability, snc_threshold
 from netcode.gf2 import BitMatrix
 from netcode.design import network_code
 
@@ -171,3 +173,52 @@ def sp_flooding_reference(batch, code, iters=4, noise=1.0):
             totals[i] += m_cv[e]
         m_vc = totals[src] - m_cv
     return totals.T
+
+
+def simulate_rounds_reference(code, fading, snc, rng, batch, genie=False):
+    """Round simulation in complex arithmetic, one expression per array,
+    with the draws in the order of the package's `simulate_rounds`: data
+    bits, link SNRs, error uniforms, then the real and imaginary parts
+    of the gains and of the noise.  The package writes `h`, `w` and `y`
+    through their real and imaginary parts and the detection error
+    probabilities in place, so its batches must equal these byte for
+    byte."""
+    k, n = code.k, code.n
+    G = code.G.to_array()
+    u = rng.integers(0, 2, size=(batch, k)).astype(np.uint8)
+    pairs = code.relay_pairs
+    P = len(pairs)
+    if genie:
+        pair_err_prob = np.zeros((batch, P))
+        pair_err = np.zeros((batch, P), dtype=np.uint8)
+    else:
+        gammas = rng.exponential(fading.mean_snr, size=(batch, P))
+        pair_err_prob = 0.5 * erfc(np.sqrt(2.0 * gammas) / np.sqrt(2.0))
+        uni = rng.random(size=(batch, P))
+        pair_err = (uni < pair_err_prob).astype(np.uint8)
+    kept = (pair_err_prob < snc_threshold(fading.mean_snr) if snc.enabled
+            else np.ones((batch, P), dtype=bool))
+    g_eff = np.broadcast_to(G, (batch, k, n)).copy()
+    e = np.zeros((batch, n), dtype=np.uint8)
+    p_e = np.zeros((batch, n))
+    for j, slot in enumerate(code.slot_pairs):
+        if not slot:
+            continue
+        keep_j = kept[:, slot]
+        g_eff[:, [pairs[idx][0] for idx in slot], j] = keep_j
+        p_e[:, j] = combine_reliability(np.where(keep_j, pair_err_prob[:, slot], 0.0))
+        e[:, j] = np.where(keep_j, pair_err[:, slot], 0).sum(axis=1) % 2
+    c = np.einsum("bk,bkn->bn", u, g_eff) % 2
+    c_hat = c ^ e
+    es = fading.mean_snr
+    owners, col = ((range(n), slice(None)) if fading.mode == "block_iid"
+                   else np.unique(code.v, return_inverse=True))
+    shape = (batch, len(owners))
+    h = (np.sqrt(es / 2.0) * (rng.standard_normal(shape)
+                              + 1j * rng.standard_normal(shape)))[:, col]
+    w = np.sqrt(0.5) * (rng.standard_normal((batch, n))
+                        + 1j * rng.standard_normal((batch, n)))
+    y = h * (1.0 - 2.0 * c_hat) + w
+    return RoundBatch(u=u, c=c, e=e, c_hat=c_hat, p_e=p_e, h=h, y=y,
+                      g_eff=g_eff, pairs=list(pairs), pair_err_prob=pair_err_prob,
+                      pair_err=pair_err, pair_kept=kept, error_free=genie)

@@ -161,6 +161,24 @@ def test_simulate_json_lines(capsys, tmp_path, code1):
     assert {r["source"] for r in rows} == {1, 2, 3}
 
 
+def test_simulate_json_lines_are_strict_json(capsys, tmp_path, code1):
+    """A point with no trials has no BER: null, not a bare NaN, which
+    RFC 8259 does not allow."""
+    cfg = {"code": code1.to_json_dict(), "snr_grid_db": [2.0],
+           "decoder": "sp", "max_trials": 0}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                           "--json")
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    rows = [json.loads(line, parse_constant=reject) for line in out.splitlines()]
+    assert [(r["trials"], r["ber"], r["stderr"]) for r in rows] == [(0, None, None)] * 3
+
+
 def test_simulate_missing_config(capsys, tmp_path):
     code, _, err = run_cli(capsys, "simulate", "--config",
                            str(tmp_path / "none.json"))

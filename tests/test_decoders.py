@@ -1,6 +1,8 @@
 import math
 import pickle
 import tracemalloc
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -107,6 +109,51 @@ def test_channel_llr_odd_and_bounded():
         # direct linear-domain oracle
         ea, eb = math.exp(a), math.exp(b)
         assert out == pytest.approx(math.log((ea * eb + 1) / (ea + eb)), rel=1e-9)
+
+
+def _llr_pairs(seed, size):
+    """(b, p) pairs with p from 1e-300 to 1/2 and |b| from 1e-160 to 1e303,
+    about the channel LLRs of the +-3000 dB SNR range a sweep accepts."""
+    rng = RNG(seed)
+    b = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-160, 303, size)
+    p = 10.0 ** rng.uniform(-300, math.log10(0.5), size)
+    return b, p
+
+
+def test_channel_llr_is_exactly_odd():
+    """channel_llr(-b, p) is -channel_llr(b, p) bit for bit, infinite b,
+    b of order 1, p = 0 and p = 1/2 included."""
+    b, p = _llr_pairs(33, 4000)
+    b[:25] = np.inf
+    b[25:50] = RNG(34).normal(size=25)
+    p[::7] = 0.0
+    p[1::7] = 0.5
+    assert channel_llr(-b, p).tobytes() == np.negative(channel_llr(b, p)).tobytes()
+
+
+@pytest.mark.parametrize("b", [1e17, -1e17, np.inf, -np.inf])
+def test_channel_llr_saturates_at_the_relay_llr(b):
+    """Past any channel evidence the relay's own odds are all that is
+    left: +-ln((1-p)/p) = +-ln 9 at p = 0.1, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = channel_llr(b, 0.1)
+    assert abs(out - math.copysign(math.log(9.0), b)) <= 1e-12
+
+
+def test_channel_llr_matches_50_digit_reference():
+    """Within 1e-13 of ln[(e^a e^b + 1) / (e^a + e^b)] taken to 50 digits
+    as a + ln(1 + e^-(a+|b|)) - ln(1 + e^(a-|b|)) with the sign of b."""
+    b, p = _llr_pairs(35, 1000)
+    out = channel_llr(b, p)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for bb, pp, o in zip(b, p, out):
+            mag, pe = abs(Decimal(bb)), Decimal(pp)
+            a = ((1 - pe) / pe).ln()
+            want = a + (1 + (-(a + mag)).exp()).ln() - (1 + (a - mag).exp()).ln()
+            assert abs(abs(Decimal(o)) - want) < Decimal("1e-13"), (bb, pp)
+            assert math.copysign(1.0, o) == math.copysign(1.0, bb)
 
 
 def test_channel_llr_rejects_bad_probability():
