@@ -34,7 +34,8 @@ __all__ = [
 ]
 
 # Exhaustive enumeration of the 2^k codewords; memory stays at one
-# 2^16-word table, so the limit is one of time (about 3 s at k = 28).
+# 2^16-word table and a buffer of its size, so the limit is one of time
+# (about 0.4 s at k = 28).
 MAX_SEP_DIMENSION = 28
 
 # Rows spanned by the codeword table of `separation_vector`.
@@ -53,7 +54,12 @@ def separation_vector(G: BitMatrix) -> tuple[int, ...]:
     with u[i] = 1.  Enumerates all 2^k codewords in 2^(k-L) chunks over
     one table of the span of the low L = min(k, 16) rows.  The chunks
     walk the combinations of the high rows in Gray-code order, so each
-    costs one XOR of the table with a running sum of high rows.
+    costs one XOR of the table with a running sum of high rows, a
+    popcount, and an elementwise minimum into `least`, the lightest
+    weight at each table index over all chunks; the low rows' distances
+    are folded out of `least` once, after the walk.  Memory stays at
+    the table, one buffer of its size and two 2^L-byte weight arrays.
+    The table holds each codeword in 64 bits, so n is at most 64.
     """
     k = G.rows
     if k == 0:
@@ -61,6 +67,9 @@ def separation_vector(G: BitMatrix) -> tuple[int, ...]:
     if k > MAX_SEP_DIMENSION:
         raise ValueError(f"k = {k}: more sources than the separation vector "
                          f"allows ({MAX_SEP_DIMENSION})")
+    if G.cols > 64:
+        raise ValueError(f"n = {G.cols}: the separation vector's codeword "
+                         f"table holds at most 64 slots")
     for i, m in enumerate(G.row_masks):
         if m == 0:
             raise ValueError(f"row {i} is all-zero; separation undefined")
@@ -71,22 +80,24 @@ def separation_vector(G: BitMatrix) -> tuple[int, ...]:
     for m in G.row_masks[:L]:
         table = np.concatenate([table, table ^ np.uint64(m)])
     d = [G.cols] * k
+    buf = np.empty_like(table)
+    w = np.bitwise_count(table)
+    least = w.copy()
     offset = 0
-    for c in range(1 << len(high)):
-        if c:
-            offset ^= high[(c & -c).bit_length() - 1]
-        w = np.bitwise_count(table ^ np.uint64(offset))
-        for i in reversed(range(L)):
-            # the upper half holds the indices with bit i set; folding the
-            # halves together keeps the lower bits and leaves the overall
-            # minimum in w[0] after the last fold
-            half = len(w) >> 1
-            d[i] = min(d[i], int(w[half:].min()))
-            w = np.minimum(w[:half], w[half:])
-        gray = c ^ (c >> 1)
+    for c in range(1, 1 << len(high)):
+        offset ^= high[(c & -c).bit_length() - 1]
+        np.bitwise_count(np.bitwise_xor(table, np.uint64(offset), out=buf), out=w)
+        np.minimum(least, w, out=least)
+        gray, lightest = c ^ (c >> 1), int(w.min())
         for j in range(len(high)):
             if gray >> j & 1:
-                d[L + j] = min(d[L + j], int(w[0]))
+                d[L + j] = min(d[L + j], lightest)
+    for i in reversed(range(L)):
+        # the upper half holds the indices with bit i set; folding the
+        # halves together keeps the lower bits
+        half = len(least) >> 1
+        d[i] = int(least[half:].min())
+        least = np.minimum(least[:half], least[half:])
     return tuple(d)
 
 

@@ -10,7 +10,7 @@ import pytest
 import netcode.cli
 import netcode.design
 from netcode.cli import cli_main
-from netcode.design import NetworkCode
+from netcode.design import NetworkCode, repetition_code
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +105,19 @@ def test_analyze_rejects_too_many_sources(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "k = 29" in err and "28" in err
+
+
+def test_analyze_rejects_more_than_64_slots(capsys, tmp_path):
+    rep = repetition_code(3, 70)
+    obj = {"k": 3, "n": 70, "G": [b for row in rep.G.to_lists() for b in row],
+           "v": list(rep.v)}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: G: n = 70") and "64" in err
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_analyze_rejects_all_zero_row(capsys, tmp_path):

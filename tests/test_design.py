@@ -91,16 +91,37 @@ def test_separation_vector_in_gray_code_chunks_matches_oracle(monkeypatch):
         done += 1
 
 
+@pytest.mark.parametrize("rows", [8, 12, 16, 18])
+def test_separation_vector_does_not_depend_on_the_table_split(monkeypatch, rows):
+    """An 18-source code gives one vector whether its table spans 8, 12
+    or 16 rows, or all 18 with no chunks."""
+    G = code_for_requirements(18, 3).G
+    whole = separation_vector(G)
+    monkeypatch.setattr(netcode.design, "_TABLE_ROWS", rows)
+    assert separation_vector(G) == whole
+
+
 def test_separation_vector_memory_is_bounded():
-    """The codewords of a k = 22 code would take 32 MB as one table."""
-    G = code_for_requirements(22, 3).G
-    tracemalloc.start()
-    try:
-        separation_vector(G)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 << 20
+    """The codewords of a k = 22 code would take 32 MB as one table, and
+    those of k = 25, the largest benchmarked design, 256 MB."""
+    for k in (22, 25):
+        G = code_for_requirements(k, 3).G
+        tracemalloc.start()
+        try:
+            separation_vector(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, k
+
+
+def test_separation_vector_covers_64_slots():
+    assert separation_vector(repetition_code(3, 64).G) == (22, 21, 21)
+
+
+def test_separation_vector_rejects_more_than_64_slots():
+    with pytest.raises(ValueError, match="n = 65.*64 slots"):
+        separation_vector(repetition_code(3, 65).G)
 
 
 def test_separation_vector_rejects_zero_row():
