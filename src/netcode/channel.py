@@ -81,7 +81,12 @@ def combine_reliability(per_source_errs):
     p = np.asarray(per_source_errs, dtype=float)
     if np.any((p < 0) | (p > 0.5)):
         raise ValueError("detection error probabilities must lie in [0, 1/2]")
-    return (1.0 - np.prod(1.0 - 2.0 * p, axis=-1)) / 2.0
+    # the product over the last axis, one column at a time in order: the
+    # same bits as np.prod, which runs a short inner loop per row
+    acc = np.ones(p.shape[:-1])
+    for j in range(p.shape[-1]):
+        acc *= 1.0 - 2.0 * p[..., j]
+    return (1.0 - acc) / 2.0
 
 
 @dataclass
@@ -149,7 +154,7 @@ def simulate_rounds(
         keep_j = kept[:, slot]                    # (B, m)
         g_eff[:, [pairs[idx][0] for idx in slot], j] = keep_j
         p_e[:, j] = combine_reliability(np.where(keep_j, pair_err_prob[:, slot], 0.0))
-        e[:, j] = np.where(keep_j, pair_err[:, slot], 0).sum(axis=1) % 2
+        e[:, j] = np.bitwise_xor.reduce(pair_err[:, slot] & keep_j, axis=1)
 
     c = np.einsum("bk,bkn->bn", u, g_eff) % 2     # uint8, as u and g_eff
     c_hat = c ^ e

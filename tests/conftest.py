@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from netcode.channel import RoundBatch, combine_reliability, snc_threshold
+from netcode.channel import RoundBatch, snc_threshold
 from netcode.gf2 import BitMatrix
 from netcode.design import network_code
 
@@ -180,9 +180,10 @@ def simulate_rounds_reference(code, fading, snc, rng, batch, genie=False):
     with the draws in the order of the package's `simulate_rounds`: data
     bits, link SNRs, error uniforms, then the real and imaginary parts
     of the gains and of the noise.  The package writes `h`, `w` and `y`
-    through their real and imaginary parts and the detection error
-    probabilities in place, so its batches must equal these byte for
-    byte."""
+    through their real and imaginary parts, the detection error
+    probabilities in place, a slot's reliability as a product one column
+    at a time and its relay-error parity as an XOR, so its batches must
+    equal these byte for byte."""
     k, n = code.k, code.n
     G = code.G.to_array()
     u = rng.integers(0, 2, size=(batch, k)).astype(np.uint8)
@@ -206,7 +207,8 @@ def simulate_rounds_reference(code, fading, snc, rng, batch, genie=False):
             continue
         keep_j = kept[:, slot]
         g_eff[:, [pairs[idx][0] for idx in slot], j] = keep_j
-        p_e[:, j] = combine_reliability(np.where(keep_j, pair_err_prob[:, slot], 0.0))
+        q = 1.0 - 2.0 * np.where(keep_j, pair_err_prob[:, slot], 0.0)
+        p_e[:, j] = (1.0 - np.prod(q, axis=1)) / 2.0
         e[:, j] = np.where(keep_j, pair_err[:, slot], 0).sum(axis=1) % 2
     c = np.einsum("bk,bkn->bn", u, g_eff) % 2
     c_hat = c ^ e

@@ -176,7 +176,8 @@ def test_simulate_json_lines(capsys, tmp_path, code1):
 
 def test_simulate_json_lines_are_strict_json(capsys, tmp_path, code1):
     """A point with no trials has no BER: null, not a bare NaN, which
-    RFC 8259 does not allow."""
+    RFC 8259 does not allow.  Every row carries its point's measured wall
+    time."""
     cfg = {"code": code1.to_json_dict(), "snr_grid_db": [2.0],
            "decoder": "sp", "max_trials": 0}
     cfg_path = tmp_path / "cfg.json"
@@ -190,6 +191,8 @@ def test_simulate_json_lines_are_strict_json(capsys, tmp_path, code1):
 
     rows = [json.loads(line, parse_constant=reject) for line in out.splitlines()]
     assert [(r["trials"], r["ber"], r["stderr"]) for r in rows] == [(0, None, None)] * 3
+    assert len({r["wall_time_s"] for r in rows}) == 1
+    assert all(type(r["wall_time_s"]) is float and r["wall_time_s"] >= 0 for r in rows)
 
 
 def test_simulate_missing_config(capsys, tmp_path):
