@@ -175,6 +175,77 @@ def sp_flooding_reference(batch, code, iters=4, noise=1.0):
     return totals.T
 
 
+def channel_llr_reference(llr_chat_val, p_e):
+    """The slot LLR on a boolean mask, with each log-sum-exp in one
+    expression and no floor on its exp argument: f(b) = lse(a + y, 0) -
+    lse(a, y) at y = -|b|, a = ln((1-p)/p), given the sign of b, where
+    p > 0, and b itself elsewhere.  The package's flat-index form with
+    its floored exp must equal it byte for byte."""
+    def lse(u, v):
+        return np.maximum(u, v) + np.log1p(np.exp(-np.abs(u - v)))
+
+    b, p = np.broadcast_arrays(np.asarray(llr_chat_val, dtype=float),
+                               np.asarray(p_e, dtype=float))
+    if not np.all((p >= 0) & (p <= 0.5)):
+        raise ValueError("relay error probability must lie in [0, 1/2]")
+    err = p > 0
+    pe, be = p[err], b[err]
+    a = np.log1p(-pe) - np.log(pe)
+    y = -np.abs(be)
+    out = b.copy()
+    out[err] = np.copysign(lse(a + y, 0.0) - lse(a, y), be)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def map_reference(batch, code, noise=1.0, with_llrs=False):
+    """MAP in the package's hypothesis-major layout and arithmetic order,
+    chunk for chunk, on `channel_llr_reference`, with unfloored exps:
+    every likelihood is exp(score) and each log-sum-exp is exp(x - max).
+    The package floors every exp argument at -700, so its decisions and
+    LLRs must equal these bit for bit, and its posteriors wherever they
+    are not already below about 1e-300."""
+    from netcode.decoders import MAP_CHUNK_BYTES, llr_chat
+
+    def logsumexp(x):
+        x = x.reshape(-1, x.shape[-1])
+        m = x.max(axis=0)
+        m = np.where(np.isfinite(m), m, 0.0)
+        return m + np.log(np.exp(x - m).sum(axis=0))
+
+    k, n = code.k, code.n
+    lam = channel_llr_reference(llr_chat(batch.y, batch.h, noise), batch.p_e)
+    neg_lam = np.negative(lam.T, order="C")
+    M, B = 1 << k, len(batch)
+    g = batch.g_eff
+    shared = (g == g[:1]).all()
+    p1 = np.empty((k, B))
+    llrs = np.empty((k, B))
+    step = max(1, MAP_CHUNK_BYTES // (8 * M * n))
+    for lo in range(0, B, step):
+        rows = slice(lo, lo + step)
+        gc = g[:1] if shared else g[rows]
+        cu = np.zeros((M, len(gc), n))
+        for i in range(k):
+            np.not_equal(cu[:1 << i], gc[:, i], out=cu[1 << i:2 << i])
+        score = (np.einsum("mn,nb->mb", cu[:, 0], neg_lam[:, rows]) if shared
+                 else np.einsum("mbn,nb->mb", cu, neg_lam[:, rows]))
+        score -= score.max(axis=0)
+        like = np.exp(score)
+        for i in range(k):
+            blocks = (-1, 2, 1 << i, like.shape[1])
+            like.reshape(blocks)[:, 1].sum(axis=(0, 1), out=p1[i, rows])
+            s = score.reshape(blocks)
+            llrs[i, rows] = logsumexp(s[:, 0]) - logsumexp(s[:, 1])
+        p1[:, rows] /= like.sum(axis=0)
+    posterior = p1.T.copy()
+    decisions = (posterior > 0.5).astype(np.uint8)
+    if not with_llrs:
+        return posterior, decisions
+    return posterior, decisions, llrs.T.copy()
+
+
 def simulate_rounds_reference(code, fading, snc, rng, batch, genie=False):
     """Round simulation in complex arithmetic, one expression per array,
     with the draws in the order of the package's `simulate_rounds`: data

@@ -21,7 +21,13 @@ from netcode.design import code_for_requirements, network_code, repetition_code
 from netcode.gf2 import BitMatrix
 from netcode.harness import SimConfig
 
-from conftest import map_oracle, sp_flooding_reference, sp_oracle
+from conftest import (
+    channel_llr_reference,
+    map_oracle,
+    map_reference,
+    sp_flooding_reference,
+    sp_oracle,
+)
 
 RNG = lambda s: np.random.default_rng(s)
 
@@ -182,6 +188,55 @@ def test_channel_llr_mixed_array():
         assert o == pytest.approx(math.log((ea * eb + 1) / (ea + eb)), rel=1e-9, abs=1e-12)
 
 
+def _same_llrs(got, want):
+    """Byte equality, signed zeros included, and the same type: a float
+    for 0-d inputs, else an array of the same shape."""
+    assert type(got) is type(want)
+    if isinstance(want, float):
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    else:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_channel_llr_equals_mask_reference(net34):
+    """The flat-index form with its floored exp gives the bytes of the
+    boolean-mask form on the inputs where the floor fires or the
+    indexing differs."""
+    # high-SNR slot LLRs, next to the p_e = 0 entries of uncoded slots
+    for snr_db, seed in ((18, 60), (30, 61), (40, 62)):
+        batch = simulate_rounds(net34, FadingModel("block_iid", 10 ** (snr_db / 10)),
+                                SncPolicy(False), RNG(seed), 2000)
+        b = llr_chat(batch.y, batch.h, 1.0)
+        assert (batch.p_e == 0).any() and (np.abs(b) > 700).any()
+        _same_llrs(channel_llr(b, batch.p_e), channel_llr_reference(b, batch.p_e))
+    # |b| past 700 next to p = 1/2 exactly, the largest p below it, tiny p
+    mags = np.array([0.0, 1e-300, 1.0, 699.0, 700.0, 701.0, 708.5, 745.0,
+                     1e4, 1e300, np.inf])
+    b = np.concatenate([mags, -mags])
+    for pp in (0.5, np.nextafter(0.5, 0.0), 0.1, 1e-300, 5e-324, 0.0):
+        p = np.full(b.shape, pp)
+        p[::3] = 0.5
+        _same_llrs(channel_llr(b, p), channel_llr_reference(b, p))
+        # a scalar p against an array, and a scalar b against one
+        _same_llrs(channel_llr(b, pp), channel_llr_reference(b, pp))
+        _same_llrs(channel_llr(-750.0, p), channel_llr_reference(-750.0, p))
+        # 0-d inputs give a float
+        for bb in (-0.0, 3.0, -1e3, np.inf):
+            _same_llrs(channel_llr(bb, pp), channel_llr_reference(bb, pp))
+            _same_llrs(channel_llr(np.array(bb), np.array(pp)),
+                       channel_llr_reference(np.array(bb), np.array(pp)))
+    for shape in ((0,), (0, 4), (3, 0)):
+        _same_llrs(channel_llr(np.empty(shape), np.empty(shape)),
+                   channel_llr_reference(np.empty(shape), np.empty(shape)))
+    _same_llrs(channel_llr(np.empty((0, 4)), 0.5),
+               channel_llr_reference(np.empty((0, 4)), 0.5))
+    for bad in (-0.01, 0.6, float("nan")):
+        p = np.full(5, 0.1)
+        p[3] = bad
+        with pytest.raises(ValueError, match="relay error probability"):
+            channel_llr(np.ones(5), p)
+
+
 # ------------------------------------------------------------------- MAP rule
 
 def test_map_matches_linear_domain_oracle():
@@ -301,6 +356,23 @@ def test_map_memory_does_not_grow_with_batch():
             tracemalloc.stop()
     assert peaks[1] < 1.25 * peaks[0]
     assert peaks[1] < 3 * netcode.decoders.MAP_CHUNK_BYTES
+
+
+@pytest.mark.parametrize("snc", [False, True])
+def test_map_equals_unfloored_reference(net34, code1, snc):
+    """Flooring the exp arguments at -700 moves no decision and no LLR,
+    from 0 to 40 dB, and only posteriors already below 1e-280."""
+    for c, code in enumerate((net34, code1, code_for_requirements(6, 3))):
+        for snr_db in range(0, 41, 2):
+            batch = simulate_rounds(code, FadingModel("block_iid", 10 ** (snr_db / 10)),
+                                    SncPolicy(snc), RNG([70, c, snr_db]), 8192)
+            got = map_decode_batch(batch, code, with_llrs=True)
+            post, dec, llrs = map_reference(batch, code, with_llrs=True)
+            assert np.array_equal(got[1], dec)
+            assert got[2].tobytes() == llrs.tobytes()
+            big = post >= 1e-280
+            assert got[0][big].tobytes() == post[big].tobytes()
+            assert (got[0][~big] < 1e-280).all()
 
 
 # --------------------------------------------------------------- sum-product
@@ -485,6 +557,23 @@ def test_non_finite_observation_rejected(code1, decode, field, value):
     getattr(batch, field)[1, 2] = value
     with pytest.raises(ValueError, match="non-finite observation"):
         decode(batch, code1)
+
+
+# ------------------------------------------------------------------ underflow
+
+@pytest.mark.parametrize("snc", [False, True])
+def test_decoders_do_not_underflow(net34, code1, snc):
+    """At high SNR the score gaps reach hundreds of nats; no exp in the
+    slot LLRs, MAP or sum-product takes numpy's underflow path."""
+    for code in (net34, code1):
+        for snr_db in (12, 18, 24, 30, 40):
+            batch = simulate_rounds(code, FadingModel("block_iid", 10 ** (snr_db / 10)),
+                                    SncPolicy(snc), RNG([80, snr_db]), 4096)
+            with np.errstate(under="raise"):
+                channel_llr(llr_chat(batch.y, batch.h, 1.0), batch.p_e)
+                map_decode_batch(batch, code)
+                map_decode_batch(batch, code, with_llrs=True)
+                sp_decode_batch(batch, code)
 
 
 # ---------------------------------------------------------------- mode logic
