@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .design import NetworkCode
 
@@ -38,8 +37,8 @@ class FadingModel:
     def __post_init__(self):
         if self.mode not in FADING_MODES:
             raise ValueError(f"unknown fading mode {self.mode!r}")
-        if not self.mean_snr > 0:
-            raise ValueError("mean SNR must be positive")
+        if not 0 < self.mean_snr < np.inf:
+            raise ValueError("mean SNR must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -53,9 +52,15 @@ class SncPolicy:
 
 def link_error_prob(gamma):
     """BPSK coherent-detection error probability at instantaneous SNR
-    gamma: the Gaussian tail Q(sqrt(2 gamma))."""
+    gamma: the Gaussian tail Q(sqrt(2 gamma)).
+
+    scipy.special loads on the first call, not with the package, so a
+    process that designs or analyses codes never pays for it."""
+    from scipy.special import erfc
+
     g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0):
+    # NaN fails the comparison
+    if g.size and not g.min() >= 0:
         raise ValueError("SNR must be non-negative")
     # 0.5 erfc(sqrt(2 g) / sqrt(2)), one operation at a time in one buffer
     x = np.multiply(g, 2.0, out=np.empty_like(g))
@@ -69,8 +74,8 @@ def link_error_prob(gamma):
 def snc_threshold(mean_snr: float) -> float:
     """Rayleigh-averaged BPSK error probability at average SNR mean_snr,
     0.5 (1 - sqrt(m / (1 + m))) in a form that does not cancel."""
-    if not mean_snr > 0:
-        raise ValueError("mean SNR must be positive")
+    if not 0 < mean_snr < np.inf:
+        raise ValueError("mean SNR must be positive and finite")
     return 0.5 / ((1.0 + mean_snr) * (1.0 + np.sqrt(mean_snr / (1.0 + mean_snr))))
 
 
@@ -79,7 +84,8 @@ def combine_reliability(per_source_errs):
     errors occurred (error probability of the XOR combination), reduced
     over the last axis."""
     p = np.asarray(per_source_errs, dtype=float)
-    if np.any((p < 0) | (p > 0.5)):
+    # NaN fails both comparisons
+    if p.size and not (p.min() >= 0 and p.max() <= 0.5):
         raise ValueError("detection error probabilities must lie in [0, 1/2]")
     # the product over the last axis, one column at a time in order: the
     # same bits as np.prod, which runs a short inner loop per row

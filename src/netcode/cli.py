@@ -158,6 +158,11 @@ def _cmd_simulate(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     config = SimConfig.from_json_dict(obj)
+    # The channel's erfc comes from scipy.special, which no other command
+    # loads.  Load it here, once the config has parsed (a malformed one
+    # exits 2 without the wait), so that the sweep's clock and each
+    # point's wall_time measure the sweep alone.
+    import scipy.special  # noqa: F401
     records = run_sweep(config)
     with _output(args.output) as fp:
         if args.json:

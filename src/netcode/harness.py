@@ -264,6 +264,11 @@ def run_sweep(config: SimConfig) -> list[BerRecord]:
     of the process; an array above 32 MiB still comes from `mmap`.  The
     heap is trimmed when the sweep returns.  Where the C library has no
     `mallopt`, nothing changes.
+
+    Imports: the channel loads `scipy.special` on its first batch.  A
+    caller whose process has not imported it yet pays for the import
+    there, about 0.15-0.25 s, and so in its first point's `wall_time`;
+    `netcode simulate` imports it before calling this.
     """
     # checked (and the decoder's plan built) here, before any batch, so the
     # pickled config carries the cached results to pool workers

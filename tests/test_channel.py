@@ -42,6 +42,14 @@ def test_link_error_prob_values():
     assert link_error_prob(1.0) == pytest.approx(0.0786496, abs=1e-6)
     with pytest.raises(ValueError):
         link_error_prob(-0.1)
+    # NaN is no SNR, alone or inside an array
+    for bad in (np.nan, [0.5, np.nan], [[np.nan, -1.0]]):
+        with pytest.raises(ValueError, match="non-negative"):
+            link_error_prob(bad)
+    # empty and 0-d inputs keep their shapes
+    assert link_error_prob([]).shape == (0,)
+    assert link_error_prob(np.zeros((2, 0))).shape == (2, 0)
+    assert type(link_error_prob(np.float64(1.0))) is np.float64
 
 
 def test_snc_threshold_values():
@@ -49,6 +57,11 @@ def test_snc_threshold_values():
     assert snc_threshold(1.0) == pytest.approx(0.14644660940672627)
     with pytest.raises(ValueError):
         snc_threshold(0.0)
+    # an infinite mean SNR gave NaN, and selective encoding then dropped
+    # every detection, since p < NaN is False
+    for bad in (np.inf, np.nan, -1.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            snc_threshold(bad)
 
 
 def test_snc_threshold_does_not_cancel(net34):
@@ -86,6 +99,11 @@ def test_combine_reliability_examples():
         combine_reliability([0.6])
     with pytest.raises(ValueError):
         combine_reliability([-0.1])
+    for bad in ([np.nan], [0.1, np.nan], [[0.1, 0.2], [np.nan, 0.0]]):
+        with pytest.raises(ValueError, match=r"in \[0, 1/2\]"):
+            combine_reliability(bad)
+    # no detections: an empty row combines to no error
+    assert np.array_equal(combine_reliability(np.zeros((3, 0))), np.zeros(3))
 
 
 def test_combine_reliability_matches_bernoulli_oracle():
@@ -121,6 +139,9 @@ def test_fading_model_validation():
         FadingModel("other", 1.0)
     with pytest.raises(ValueError):
         FadingModel("block_iid", 0.0)
+    for bad in (np.inf, np.nan, -2.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            FadingModel("block_iid", bad)
 
 
 def test_relay_pairs_examples(net34, rep36, code1, code3):

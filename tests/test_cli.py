@@ -5,7 +5,9 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.special import erfc
 
 import netcode.cli
 import netcode.design
@@ -557,3 +559,77 @@ def test_help_exits_cleanly(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
     assert "design" in out and "simulate" in out
+
+
+# ------------------------------------------------------------- import budget
+# scipy.special takes longer to import than numpy and the whole package
+# together, and only the channel's erfc needs it.  Each test runs a fresh
+# interpreter, since this one has imported scipy long ago.
+
+def _fresh(script: str) -> str:
+    """Standard output of `script`, run in a fresh interpreter."""
+    src = str(Path(netcode.__file__).parents[1])
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, timeout=120,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_package_import_leaves_scipy_out():
+    out = _fresh(f"import sys, netcode, netcode.cli\nprint({SCIPY_LOADED})")
+    assert out == "[]\n"
+
+
+@pytest.mark.parametrize("command", ["design", "analyze", "tradeoff", "slope"])
+def test_commands_without_a_sweep_leave_scipy_out(tmp_path, code2, command):
+    code_path = tmp_path / "code.json"
+    code_path.write_text(json.dumps(code2.to_json_dict()))
+    csv_path = tmp_path / "sweep.csv"
+    csv_path.write_text("snr_db,source,trials,errors,ber,stderr,flags\n" + "".join(
+        f"{snr},1,1000000,{10 ** (5 - snr // 10)},0,0,\n" for snr in (10, 20, 30)))
+    argv = {"design": ["design", "--k", "3", "--d", "3"],
+            "analyze": ["analyze", str(code_path)],
+            "tradeoff": ["tradeoff", "--k", "3", "--d-range", "1:3"],
+            "slope": ["slope", "--input", str(csv_path), "--source", "1"]}[command]
+    out = _fresh("import sys\nfrom netcode.cli import cli_main\n"
+                 f"code = cli_main({argv!r})\nprint(code, {SCIPY_LOADED})")
+    assert out.splitlines()[-1] == "0 []"
+
+
+def test_simulate_loads_scipy_before_the_sweep(tmp_path, code1):
+    """`simulate` loads scipy.special itself, and before the sweep starts,
+    so the sweep's clock and its first point's wall time do not pay for
+    the import."""
+    path = _write_config(tmp_path, code1, max_trials=2000, batch_size=1000)
+    out = _fresh(f"""
+import sys
+import netcode.cli as cli
+print('scipy.special' in sys.modules)
+run_sweep = cli.run_sweep
+def entered(config):
+    print('scipy.special' in sys.modules)
+    return run_sweep(config)
+cli.run_sweep = entered
+print(cli.cli_main(['simulate', '--config', {str(path)!r}, '-o', {os.devnull!r}]))
+""")
+    assert out == "False\nTrue\n0\n"
+
+
+def test_link_error_prob_loads_scipy_itself():
+    """In a process that has not imported scipy, the first call loads it
+    and returns the same bytes as scipy's erfc in this one."""
+    gammas = np.concatenate([[0.0, 5e-324, 1e-300, 1e-9, 0.5, 1.0, 30.0, 700.0, 1e300],
+                             np.random.default_rng(21).exponential(4.0, 1000)])
+    out = _fresh(f"""
+import sys
+import numpy as np
+from netcode import link_error_prob
+assert {SCIPY_LOADED} == []
+print(link_error_prob(np.frombuffer(bytes.fromhex({gammas.tobytes().hex()!r}))).tobytes().hex())
+""")
+    want = 0.5 * erfc(np.sqrt(2.0 * gammas) / np.sqrt(2.0))
+    assert bytes.fromhex(out.strip()) == want.tobytes()
