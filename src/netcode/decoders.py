@@ -30,8 +30,9 @@ MAP_CHUNK_BYTES = 1 << 24
 
 _ATANH_EPS = 1e-15
 
-# Floor of every exp argument: numpy's float64 exp is off its fast path
-# below about -708 (see `_lse` and `map_decode_batch`).
+# Floor of every exp argument: below about -708 numpy's float64 exp leaves
+# its vector path (13 ns per result that underflows to 0, 92-96 ns per
+# subnormal one, against 0.7-1.0 ns per normal one).
 _EXP_FLOOR = -700.0
 
 
@@ -75,10 +76,8 @@ def channel_llr(llr_chat_val, p_e):
 
 def _lse(u, v):
     """ln(e^u + e^v), elementwise.  The exp argument -|u - v| is floored
-    at -700: below about -708 numpy's float64 exp leaves its vector path
-    (13 ns per element that underflows to 0, 92-96 ns per subnormal
-    result, against 0.7-1.0 ns).  In `channel_llr` the floored term,
-    at most e^-700 ~ 1e-304, then rounds away: it meets the relay LLR a,
+    at `_EXP_FLOOR`.  In `channel_llr` the floored term, at most
+    e^-700 ~ 1e-304, then rounds away: it meets the relay LLR a,
     which is at least about 1e-16, or at a = 0 (p = 1/2) the two
     log-sum-exps are one expression and cancel exactly."""
     d = np.subtract(u, v)
@@ -98,27 +97,23 @@ def _slot_llrs(batch: RoundBatch, noise: float) -> np.ndarray:
     return channel_llr(llr_chat(batch.y, batch.h, noise), batch.p_e)
 
 
-def map_decode_batch(batch: RoundBatch, code: NetworkCode, noise: float = 1.0,
-                     with_llrs: bool = False):
+def map_decode_batch(batch: RoundBatch, code: NetworkCode, noise: float = 1.0):
     """Exact per-bit posteriors by marginalizing over data vectors and
     relay error patterns.
 
     Returns (posterior, decisions): posterior[b, i] = P(u_i = 1 | y),
-    decisions by argmax with ties resolved to 0.  With `with_llrs` a
-    third array ln P(u_i=0|y)/P(u_i=1|y) is appended (saturation-free).
-    Rounds are decoded in chunks of at most `MAP_CHUNK_BYTES` of
-    codeword table, so memory does not grow with the batch.
+    decisions by argmax with ties resolved to 0.  Rounds are decoded in
+    chunks of at most `MAP_CHUNK_BYTES` of codeword table, so memory
+    does not grow with the batch.
 
     A hypothesis's likelihood relative to the best one is e^max(score,
-    -700): at high SNR the score gaps reach hundreds of nats, and below
-    about -708 numpy's float64 exp leaves its vector path (13 ns per
-    result that underflows to 0, 92-96 ns per subnormal one, against
-    0.7-1.0 ns).  Each floored term is at most e^-700 ~ 1e-304, which
-    rounds away in any sum that holds the best hypothesis's exact 1, so
-    decisions, the normalization and the LLRs are as without the floor.
-    Only posteriors already below about 1e-280 move: one that would be 0
-    or subnormal reads at most 2^(k-1) e^-700 (about 4e-304 at k = 3),
-    and a normal one moves by at most that or its last bit.
+    `_EXP_FLOOR`): at high SNR the score gaps reach hundreds of nats.
+    Each floored term is at most e^-700 ~ 1e-304, which rounds away in
+    any sum that holds the best hypothesis's exact 1, so decisions and
+    the normalization are as without the floor.  Only posteriors
+    already below about 1e-280 move: one that would be 0 or subnormal
+    reads at most 2^(k-1) e^-700 (about 4e-304 at k = 3), and a normal
+    one moves by at most that or its last bit.
     """
     k, n = code.k, code.n
     if k + n > MAP_SIZE_LIMIT:
@@ -129,7 +124,6 @@ def map_decode_batch(batch: RoundBatch, code: NetworkCode, noise: float = 1.0,
     g = batch.g_eff
     shared = (g == g[:1]).all()
     p1 = np.empty((k, B))                                  # P(u_i = 1 | y)
-    llrs = np.empty((k, B)) if with_llrs else None
     step = max(1, MAP_CHUNK_BYTES // (8 * M * n))
     for lo in range(0, B, step):
         rows = slice(lo, lo + step)
@@ -147,34 +141,16 @@ def map_decode_batch(batch: RoundBatch, code: NetworkCode, noise: float = 1.0,
         score = (np.einsum("mn,nb->mb", cu[:, 0], neg_lam[:, rows]) if shared
                  else np.einsum("mbn,nb->mb", cu, neg_lam[:, rows]))
         score -= score.max(axis=0)
-        like = np.maximum(score, _EXP_FLOOR)
-        np.exp(like, out=like)
+        np.maximum(score, _EXP_FLOOR, out=score)
+        like = np.exp(score, out=score)
         # the rows with u_i = 1 are the second of each pair of blocks of 2^i
         for i in range(k):
             blocks = (-1, 2, 1 << i, like.shape[1])
             like.reshape(blocks)[:, 1].sum(axis=(0, 1), out=p1[i, rows])
-            if with_llrs:
-                s = score.reshape(blocks)
-                llrs[i, rows] = _logsumexp(s[:, 0]) - _logsumexp(s[:, 1])
         p1[:, rows] /= like.sum(axis=0)
     posterior = p1.T.copy()
     decisions = (posterior > 0.5).astype(np.uint8)
-    if not with_llrs:
-        return posterior, decisions
-    return posterior, decisions, llrs.T.copy()
-
-
-def _logsumexp(x):
-    """ln sum exp over the leading two axes of (., ., rounds) x.  Each
-    exp argument x - max is floored at -700, off numpy's slow path (see
-    `map_decode_batch`); the sum holds the maximum's exact 1, so the
-    floored terms round away and the result is as without the floor."""
-    x = x.reshape(-1, x.shape[-1])
-    m = x.max(axis=0)
-    m = np.where(np.isfinite(m), m, 0.0)
-    e = x - m
-    np.maximum(e, _EXP_FLOOR, out=e)
-    return m + np.log(np.exp(e, out=e).sum(axis=0))
+    return posterior, decisions
 
 
 def sp_decode_batch(

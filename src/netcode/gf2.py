@@ -43,11 +43,10 @@ class BitMatrix:
                 raise ValueError("row mask has bits outside the column range")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "BitMatrix":
-        if cols is None:
-            if not rows:
-                raise ValueError("cannot infer column count from an empty matrix")
-            cols = len(rows[0])
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BitMatrix":
+        if not rows:
+            raise ValueError("cannot infer column count from an empty matrix")
+        cols = len(rows[0])
         masks = []
         for r in rows:
             if len(r) != cols:

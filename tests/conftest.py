@@ -202,10 +202,12 @@ def channel_llr_reference(llr_chat_val, p_e):
 def map_reference(batch, code, noise=1.0, with_llrs=False):
     """MAP in the package's hypothesis-major layout and arithmetic order,
     chunk for chunk, on `channel_llr_reference`, with unfloored exps:
-    every likelihood is exp(score) and each log-sum-exp is exp(x - max).
-    The package floors every exp argument at -700, so its decisions and
-    LLRs must equal these bit for bit, and its posteriors wherever they
-    are not already below about 1e-300."""
+    every likelihood is exp(score).  The package floors every exp
+    argument at -700, so its decisions must equal these bit for bit,
+    and its posteriors wherever they are not already below about 1e-280.
+    With `with_llrs` the saturation-free per-bit LLRs
+    ln P(u_i=0|y)/P(u_i=1|y), each log-sum-exp taken as exp(x - max),
+    are appended."""
     from netcode.decoders import MAP_CHUNK_BYTES, llr_chat
 
     def logsumexp(x):

@@ -56,6 +56,7 @@ from conftest import (
     NET34_V,
     REP36_ROWS,
     map_oracle,
+    map_reference,
     separation_oracle,
 )
 
@@ -388,7 +389,7 @@ def _check_sp_cycle_free(rng):
         if np.abs(lam).max() > 20:
             continue  # beyond tanh float saturation; see sp_decode_batch
         sp_llr, _ = sp_decode_batch(batch, code, iters=4)
-        _, _, map_llr = map_decode_batch(batch, code, with_llrs=True)
+        map_llr = map_reference(batch, code, with_llrs=True)[2]
         if not np.allclose(sp_llr, map_llr, atol=1e-6):
             return False
         checked += 1

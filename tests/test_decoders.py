@@ -271,15 +271,6 @@ def test_map_posteriors_are_probabilities(code1):
     assert set(np.unique(decisions)) <= {0, 1}
 
 
-def test_map_llr_consistent_with_posterior(code1):
-    batch = simulate_rounds(code1, FadingModel("block_iid", 1.0),
-                            SncPolicy(False), RNG(35), 200)
-    posterior, decisions, llrs = map_decode_batch(batch, code1, with_llrs=True)
-    sel = (posterior > 1e-12) & (posterior < 1 - 1e-12)
-    expect = np.log((1 - posterior[sel]) / posterior[sel])
-    assert np.allclose(llrs[sel], expect, atol=1e-6)
-
-
 def test_map_overall_scaling_invariance(code1):
     """Scaling y and h jointly while scaling noise by the square leaves
     the posterior unchanged."""
@@ -333,21 +324,24 @@ def test_map_in_chunks_equals_whole_batch(monkeypatch, code1, snc):
     batch = simulate_rounds(code1, FadingModel("block_iid", 1.0),
                             SncPolicy(snc), RNG(39), 50)
     assert (batch.g_eff == batch.g_eff[:1]).all() != snc
-    whole = map_decode_batch(batch, code1, with_llrs=True)
+    whole = map_decode_batch(batch, code1)
     monkeypatch.setattr(netcode.decoders, "MAP_CHUNK_BYTES", 8 * 8 * 6 * 7)
-    chunked = map_decode_batch(batch, code1, with_llrs=True)
+    chunked = map_decode_batch(batch, code1)
     for a, b in zip(whole, chunked):
         assert np.array_equal(a, b)
 
 
-def test_map_memory_does_not_grow_with_batch():
-    """Selective encoding gives every round its own codeword table; the
-    chunks keep the decoder's peak the same at 256 and 1 024 rounds."""
+@pytest.mark.parametrize("snc", [False, True])
+def test_map_memory_does_not_grow_with_batch(snc):
+    """With one shared codeword table and with selective encoding's
+    per-round tables, the chunks keep the decoder's peak the same at 256
+    and 1 024 rounds."""
     code = code_for_requirements(10, 3)
     peaks = []
     for rounds in (256, 1024):
         batch = simulate_rounds(code, FadingModel("block_iid", 10.0),
-                                SncPolicy(True), RNG(40), rounds)
+                                SncPolicy(snc), RNG(40), rounds)
+        assert (batch.g_eff == batch.g_eff[:1]).all() != snc
         tracemalloc.start()
         try:
             map_decode_batch(batch, code)
@@ -360,16 +354,15 @@ def test_map_memory_does_not_grow_with_batch():
 
 @pytest.mark.parametrize("snc", [False, True])
 def test_map_equals_unfloored_reference(net34, code1, snc):
-    """Flooring the exp arguments at -700 moves no decision and no LLR,
-    from 0 to 40 dB, and only posteriors already below 1e-280."""
+    """Flooring the exp arguments at -700 moves no decision from 0 to
+    40 dB, and only posteriors already below 1e-280."""
     for c, code in enumerate((net34, code1, code_for_requirements(6, 3))):
         for snr_db in range(0, 41, 2):
             batch = simulate_rounds(code, FadingModel("block_iid", 10 ** (snr_db / 10)),
                                     SncPolicy(snc), RNG([70, c, snr_db]), 8192)
-            got = map_decode_batch(batch, code, with_llrs=True)
-            post, dec, llrs = map_reference(batch, code, with_llrs=True)
+            got = map_decode_batch(batch, code)
+            post, dec = map_reference(batch, code)
             assert np.array_equal(got[1], dec)
-            assert got[2].tobytes() == llrs.tobytes()
             big = post >= 1e-280
             assert got[0][big].tobytes() == post[big].tobytes()
             assert (got[0][~big] < 1e-280).all()
@@ -393,7 +386,8 @@ def test_sp_equals_map_on_cycle_free_graphs():
         if np.abs(lam).max() > 20:
             continue  # tanh(x/2) saturates to 1.0 in float64 beyond this
         sp_llr, sp_dec = sp_decode_batch(batch, code, iters=4)
-        _, map_dec, map_llr = map_decode_batch(batch, code, with_llrs=True)
+        _, map_dec = map_decode_batch(batch, code)
+        map_llr = map_reference(batch, code, with_llrs=True)[2]
         assert np.allclose(sp_llr, map_llr, atol=1e-6)
         assert (sp_dec == map_dec).all()
         checked += 1
@@ -572,7 +566,6 @@ def test_decoders_do_not_underflow(net34, code1, snc):
             with np.errstate(under="raise"):
                 channel_llr(llr_chat(batch.y, batch.h, 1.0), batch.p_e)
                 map_decode_batch(batch, code)
-                map_decode_batch(batch, code, with_llrs=True)
                 sp_decode_batch(batch, code)
 
 

@@ -37,6 +37,8 @@ def test_bitmatrix_validation():
     with pytest.raises(ValueError):
         BitMatrix.from_rows([[0, 2, 1]])  # not a GF(2) element
     with pytest.raises(ValueError):
+        BitMatrix.from_rows([])  # no row to take the column count from
+    with pytest.raises(ValueError):
         BitMatrix((0b100,), 1, 2)  # mask outside columns
 
 
