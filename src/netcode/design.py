@@ -33,9 +33,12 @@ __all__ = [
     "tradeoff_table",
 ]
 
-# Exhaustive enumeration of the 2^k codewords; memory stays at one
-# 2^16-word table and a buffer of its size, so the limit is one of time
-# (about 0.4 s at k = 28).
+# Enumeration of the codewords whose unit-column bound is below the
+# heaviest row's weight; memory stays at one 2^16-word table and a
+# buffer of its size, so the limit is one of time.  Every systematic
+# design, and any code with unit columns, is pruned: the d = 3 design
+# at k = 28 takes about 1 ms.  With no unit column all 2^k codewords
+# are enumerated, about 0.2-0.3 s at k = 28.
 MAX_SEP_DIMENSION = 28
 
 # Rows spanned by the codeword table of `separation_vector`.
@@ -51,15 +54,22 @@ def separation_vector(G: BitMatrix) -> tuple[int, ...]:
     """Per-source minimum distances of the code generated by G.
 
     d[i] is the minimum Hamming weight of uG over all data vectors u
-    with u[i] = 1.  Enumerates all 2^k codewords in 2^(k-L) chunks over
-    one table of the span of the low L = min(k, 16) rows.  The chunks
-    walk the combinations of the high rows in Gray-code order, so each
-    costs one XOR of the table with a running sum of high rows, a
-    popcount, and an elementwise minimum into `least`, the lightest
-    weight at each table index over all chunks; the low rows' distances
-    are folded out of `least` once, after the walk.  Memory stays at
-    the table, one buffer of its size and two 2^L-byte weight arrays.
-    The table holds each codeword in 64 bits, so n is at most 64.
+    with u[i] = 1, and u = e_i gives d[i] <= wt(row i) <= D, the weight
+    of the heaviest row.  A source whose unit vector e_i is a column of
+    G adds 1 to wt(uG) whenever u[i] = 1, so a u that sets D or more
+    such sources can lower no entry and is never visited.  That prunes
+    every systematic design and any code with unit columns; with no
+    unit column all 2^k codewords are enumerated.
+
+    The codewords come in chunks over one table of the span of the low
+    L = min(k, 16) rows, each chunk one combination of the high rows.
+    The chunks go in order of their bound, up to the first that reaches
+    D; with high rows the table too is stored in order of its bound,
+    and a chunk scans only the prefix whose total bound is below D.
+    The lightest weights at each table index (`least`) and in each
+    chunk (`light`) are folded into the distances at the end.  Memory
+    stays at the table, one buffer of its size and the weight arrays;
+    each codeword is held in 64 bits, so n is at most 64.
     """
     k = G.rows
     if k == 0:
@@ -73,32 +83,111 @@ def separation_vector(G: BitMatrix) -> tuple[int, ...]:
     for i, m in enumerate(G.row_masks):
         if m == 0:
             raise ValueError(f"row {i} is all-zero; separation undefined")
+    d = [m.bit_count() for m in G.row_masks]
+    D = max(d)
     L = min(k, _TABLE_ROWS)
     high = G.row_masks[L:]
-    # table[j] = codeword for the data vector whose low bits are the bits of j
-    table = np.zeros(1, dtype=np.uint64)
-    for m in G.row_masks[:L]:
-        table = np.concatenate([table, table ^ np.uint64(m)])
-    d = [G.cols] * k
-    buf = np.empty_like(table)
-    w = np.bitwise_count(table)
-    least = w.copy()
-    offset = 0
-    for c in range(1, 1 << len(high)):
-        offset ^= high[(c & -c).bit_length() - 1]
-        np.bitwise_count(np.bitwise_xor(table, np.uint64(offset), out=buf), out=w)
-        np.minimum(least, w, out=least)
-        gray, lightest = c ^ (c >> 1), int(w.min())
-        for j in range(len(high)):
-            if gray >> j & 1:
-                d[L + j] = min(d[L + j], lightest)
-    for i in reversed(range(L)):
-        # the upper half holds the indices with bit i set; folding the
-        # halves together keeps the lower bits
-        half = len(least) >> 1
-        d[i] = int(least[half:].min())
-        least = np.minimum(least[:half], least[half:])
+    # Only the chunks need the table in order of the bound: with no high
+    # rows the plain span is as cheap to build and to fold
+    unit = _unit_columns(G.row_masks) if high else [0] * k
+    table, ends = _span_by_bound(G.row_masks[:L], unit[:L], D)
+    least = np.bitwise_count(table)  # chunk 0 is the table itself
+    if high:
+        chunks, chunk_ends = _span_by_bound(high, unit[L:], D)
+        light = _scan_chunks(table, ends, least, chunks, chunk_ends, D)
+        _fold(light, chunks, unit[L:], D, d, L)
+    _fold(least, table, unit[:L], D, d, 0)
     return tuple(d)
+
+
+def _unit_columns(rows: Sequence[int]) -> list[int]:
+    """Per row i, the columns whose only one is in row i: the columns
+    equal to e_i."""
+    once = twice = 0  # the columns with at least one and two ones
+    for m in rows:
+        twice |= once & m
+        once |= m
+    return [m & once & ~twice for m in rows]
+
+
+def _span_by_bound(rows: Sequence[int], unit: Sequence[int],
+                   D: int) -> tuple[np.ndarray, list[int]]:
+    """The codewords of the data vectors over `rows` whose bound is below
+    D, in order of the bound.
+
+    Returns a (blocks, 2^f) array and the index of the first block of
+    each level, then the number of blocks.  Each block is the span of
+    the f rows with no unit column, its index bits those rows in order,
+    XORed with the codeword of one set of the rows with one; a block's
+    level is the size of its set.
+    """
+    free = [m for m, u in zip(rows, unit) if not u]
+    span = np.zeros(1 << len(free), dtype=np.uint64)
+    for j, m in enumerate(free):
+        # the upper half of the first 2^(j+1) entries is the lower XOR m
+        np.bitwise_xor(span[:1 << j], np.uint64(m), out=span[1 << j:2 << j])
+    blocks, ends = span[None], [0, 1]
+    for m, u in zip(rows, unit):
+        if u:
+            # every level below D - 1 gains its blocks XOR m one level up,
+            # stored just ahead of that level's own blocks
+            cut = ends[min(len(ends), D) - 1]
+            moved = blocks[:cut] ^ np.uint64(m)
+            levels = list(zip(ends, ends[1:]))
+            top = [2 * cut] if cut == ends[-1] else []  # a new level
+            blocks = np.concatenate([p for s, e in levels for p in (blocks[s:e], moved[s:e])])
+            ends = [0] + [e + min(s, cut) for s, e in levels] + top
+    return blocks, ends
+
+
+def _scan_chunks(table: np.ndarray, ends: list[int], least: np.ndarray,
+                 chunks: np.ndarray, chunk_ends: list[int], D: int) -> np.ndarray:
+    """Visit every chunk but chunk 0, lowering `least`, laid out as
+    `table`, to the lightest weight at each table index; returns the
+    lightest weight in each chunk, laid out as `chunks`."""
+    flat, offsets, flat_least = table.ravel(), chunks.ravel(), least.ravel()
+    light = np.full(len(offsets), 255, dtype=np.uint8)  # above any weight
+    buf, w = np.empty_like(flat), np.empty_like(flat_least)
+    for c in range(len(chunk_ends) - 1):
+        # the chunks of bound c, against the table's levels below D - c
+        size = ends[min(D - c, len(ends) - 1)] * table.shape[1]
+        step = len(flat) // size
+        part, low = flat[:size], flat_least[:size]
+        xs = buf[:step * size].reshape(step, size)
+        ws = w[:step * size].reshape(step, size)
+        lo, hi = (e * chunks.shape[1] for e in chunk_ends[c:c + 2])
+        for h in range(max(lo, 1), hi, step):
+            hs = offsets[h:min(h + step, hi), None]
+            x, wt = xs[:len(hs)], ws[:len(hs)]
+            np.bitwise_count(np.bitwise_xor(part, hs, out=x), out=wt)
+            # a batch of one chunk is its own minimum
+            np.minimum(low, wt[0] if len(wt) == 1 else np.minimum.reduce(wt), out=low)
+            np.minimum.reduce(wt, axis=1, out=light[h:h + len(wt)])
+    return light.reshape(chunks.shape)
+
+
+def _fold(least: np.ndarray, blocks: np.ndarray, unit: Sequence[int], D: int,
+          d: list[int], first: int):
+    """Lower d[first + i], for each of the rows of one `_span_by_bound`,
+    to the least weight in `least` (laid out as its blocks) with row i set."""
+    # the upper half of each block holds the indices with the top free
+    # row set; folding the halves together keeps the lower rows (one
+    # block folds as a flat array).  A free row's e_i has bound 0, so
+    # it was visited and its half holds no more than wt(row i)
+    least = least[0] if len(least) == 1 else least.T
+    for i in reversed([i for i, u in enumerate(unit) if not u]):
+        half = len(least) >> 1
+        d[first + i] = int(np.minimum.reduce(least[half:], axis=None))
+        least = np.minimum(least[:half], least[half:])
+    if any(unit):
+        # a block's set holds row i iff its first codeword, the set's own,
+        # has row i's unit columns; take the blocks lightest first
+        least, heads = least.ravel(), blocks[:, 0]
+        for v in range(int(np.minimum.reduce(least)), D):
+            hit = int(np.bitwise_or.reduce(heads[least == v]))
+            for i, u in enumerate(unit):
+                if hit & u:
+                    d[first + i] = min(d[first + i], v)
 
 
 class SearchLimitError(ValueError):

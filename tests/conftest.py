@@ -297,3 +297,15 @@ def simulate_rounds_reference(code, fading, snc, rng, batch, genie=False):
     return RoundBatch(u=u, c=c, e=e, c_hat=c_hat, p_e=p_e, h=h, y=y,
                       g_eff=g_eff, pairs=list(pairs), pair_err_prob=pair_err_prob,
                       pair_err=pair_err, pair_kept=kept, error_free=genie)
+
+
+def separation_span_reference(G):
+    """Per-source minimum distance by numpy, from the definition: the span
+    of all 2^k codewords (index bit i is data bit i), then the least
+    weight among the codewords with each source set."""
+    span = np.zeros(1, dtype=np.uint64)
+    for m in G.row_masks:
+        span = np.concatenate([span, span ^ np.uint64(m)])
+    weights = np.bitwise_count(span)
+    index = np.arange(len(span))
+    return [int(weights[index >> i & 1 == 1].min()) for i in range(G.rows)]

@@ -29,6 +29,7 @@ from conftest import (
     NET34_ROWS,
     REP36_ROWS,
     separation_oracle,
+    separation_span_reference,
 )
 
 
@@ -75,8 +76,8 @@ def test_separation_vector_matches_exhaustive_oracle():
 
 
 def test_separation_vector_in_gray_code_chunks_matches_oracle(monkeypatch):
-    """With a two-row table, every code of k > 2 runs through 2^(k-2)
-    chunks of the high rows."""
+    """With a two-row table, every code of k > 2 runs through chunks of
+    the high rows, in order of their unit-column bound."""
     monkeypatch.setattr(netcode.design, "_TABLE_ROWS", 2)
     rng = np.random.default_rng(12)
     done = 0
@@ -102,9 +103,10 @@ def test_separation_vector_does_not_depend_on_the_table_split(monkeypatch, rows)
 
 
 def test_separation_vector_memory_is_bounded():
-    """The codewords of a k = 22 code would take 32 MB as one table, and
-    those of k = 25, the largest benchmarked design, 256 MB."""
-    for k in (22, 25):
+    """The codewords of a k = 22 code would take 32 MB as one table,
+    those of k = 25, the largest benchmarked design, 256 MB, and those
+    of k = 28, the `--k` cap, 2 GB."""
+    for k in (22, 25, 28):
         G = code_for_requirements(k, 3).G
         tracemalloc.start()
         try:
@@ -113,6 +115,78 @@ def test_separation_vector_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak < 4 << 20, k
+
+
+def _code_with_unit_columns(rng, k, units):
+    """Rows of a random k-source code in which exactly the sources in
+    `units` have unit columns, some of them twice, columns shuffled."""
+    n = int(rng.integers(k + 1, 14))
+    # no column of the base part has exactly one one
+    base = rng.integers(0, 2, (k, n))
+    base[:, base.sum(axis=0) == 1] = 0
+    cols = [base] + [np.eye(k, dtype=int)[:, [i] * int(rng.integers(1, 3))]
+                     for i in units]
+    rows = np.concatenate(cols, axis=1)
+    return rows[:, rng.permutation(rows.shape[1])].tolist()
+
+
+@pytest.mark.parametrize("table_rows", [2, 3, 16])
+@pytest.mark.parametrize("kind", ["none", "some", "all"])
+def test_separation_vector_with_unit_columns_matches_oracle(monkeypatch, kind,
+                                                            table_rows):
+    """The bound counts the sources whose unit vector is a column of G.
+    Codes where none, some (as in NET34) or all sources have one, one
+    or two copies, at k = 1..9, with tables of 2, 3 and 16 rows."""
+    monkeypatch.setattr(netcode.design, "_TABLE_ROWS", table_rows)
+    rng = np.random.default_rng([table_rows, len(kind)])
+    for k in range(1 if kind == "all" else 2, 10):
+        done = 0
+        while done < 4:
+            if kind == "some":
+                srcs = sorted(rng.permutation(k)[:int(rng.integers(1, k))])
+            else:
+                srcs = range(k) if kind == "all" else []
+            rows = _code_with_unit_columns(rng, k, srcs)
+            if any(sum(r) == 0 for r in rows):
+                continue
+            assert list(separation_vector(BitMatrix.from_rows(rows))) == \
+                separation_oracle(rows), rows
+            done += 1
+
+
+def test_separation_vector_folds_every_chunk_of_a_batch(monkeypatch):
+    """With a four-row table, the chunks of the two high sources are
+    scanned in one batch against the table's first five codewords.
+    Sources 0 and 1 reach weight 2 only together with source 4 and 5
+    respectively, below every row's weight of 3."""
+    monkeypatch.setattr(netcode.design, "_TABLE_ROWS", 4)
+    rows = [[int(j in ones) for j in range(12)] for ones in
+            ({0, 6, 7}, {1, 8, 9}, {2, 10, 11}, {3, 6, 8}, {4, 6, 7}, {5, 8, 9})]
+    assert separation_oracle(rows) == [2, 2, 3, 3, 2, 2]
+    assert list(separation_vector(BitMatrix.from_rows(rows))) == [2, 2, 3, 3, 2, 2]
+
+
+def _dense_code_without_unit_columns(k, n, seed):
+    rng = np.random.default_rng(seed)
+    while True:
+        rows = rng.integers(0, 2, (k, n))
+        if 1 not in rows.sum(axis=0) and rows.sum(axis=1).all():
+            return BitMatrix.from_rows(rows.tolist())
+
+
+@pytest.mark.parametrize("k, d", [(k, d) for d in (3, 5, 7) for k in range(17, 21)]
+                         + [(18, None)])
+def test_separation_vector_skipping_chunks_matches_span(monkeypatch, k, d):
+    """The d = 3, 5 and 7 designs of 17 to 20 sources have chunks of the
+    high rows, each scanning only part of the table; with an 8-row table
+    whole chunks are skipped.  The dense k = 18 code (d None) has no
+    unit column and visits them all."""
+    G = _dense_code_without_unit_columns(k, 30, 4) if d is None else \
+        code_for_requirements(k, d).G
+    expect = separation_span_reference(G)
+    for table_rows in (16, 8):
+        monkeypatch.setattr(netcode.design, "_TABLE_ROWS", table_rows)
+        assert list(separation_vector(G)) == expect, table_rows
 
 
 def test_separation_vector_covers_64_slots():
