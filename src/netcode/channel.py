@@ -82,17 +82,17 @@ def snc_threshold(mean_snr: float) -> float:
 def combine_reliability(per_source_errs):
     """Probability that an odd number of the given independent detection
     errors occurred (error probability of the XOR combination), reduced
-    over the last axis."""
+    over the last axis, one column at a time as q (1 - 2p) + p: both
+    terms are non-negative, so no probability, however small, reads 0."""
     p = np.asarray(per_source_errs, dtype=float)
     # NaN fails both comparisons
     if p.size and not (p.min() >= 0 and p.max() <= 0.5):
         raise ValueError("detection error probabilities must lie in [0, 1/2]")
-    # the product over the last axis, one column at a time in order: the
-    # same bits as np.prod, which runs a short inner loop per row
-    acc = np.ones(p.shape[:-1])
+    acc = np.zeros(p.shape[:-1])
     for j in range(p.shape[-1]):
         acc *= 1.0 - 2.0 * p[..., j]
-    return (1.0 - acc) / 2.0
+        acc += p[..., j]
+    return acc if acc.ndim else acc[()]
 
 
 @dataclass

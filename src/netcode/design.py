@@ -300,38 +300,30 @@ def greedy_code(n: int, d: int) -> BitMatrix:
 
 
 def _systematize(G: BitMatrix) -> BitMatrix:
-    """Row-reduce (and column-permute if needed) to [I_k | P] form.
-
-    Column permutation preserves length, dimension, and the separation
-    vector as computed per basis row.
+    """Row-reduce (and column-permute if needed) to [I_k | P] form, in one
+    Gauss-Jordan pass over the rows: each held row's pivot is its lowest
+    one, which no other held row has.  Column permutation preserves
+    length, dimension, and the separation vector as computed per basis row.
     """
-    k, n = G.rows, G.cols
-    pivots: list[int] = []
-    rows_done: list[int] = []
-    remaining = list(G.row_masks)
-    for col in range(n):
-        bit = 1 << col
-        hit = None
-        for idx, m in enumerate(remaining):
+    held: dict[int, int] = {}  # pivot bit -> reduced row
+    for m in G.row_masks:
+        for bit, r in held.items():
             if m & bit:
-                hit = idx
-                break
-        if hit is None:
-            continue
-        piv = remaining.pop(hit)
-        rows_done = [r ^ piv if r & bit else r for r in rows_done]
-        remaining = [r ^ piv if r & bit else r for r in remaining]
-        rows_done.append(piv)
-        pivots.append(col)
-        if len(pivots) == k:
-            break
-    if len(pivots) < k:
-        raise ValueError("rows are linearly dependent; cannot systematize")
+                m ^= r
+        if m == 0:
+            raise ValueError("rows are linearly dependent; cannot systematize")
+        low = m & -m
+        for bit, r in held.items():
+            if r & low:
+                held[bit] = r ^ m
+        held[low] = m
     # column pos of the result is column order[pos] of the reduced rows
-    order = pivots + [j for j in range(n) if j not in pivots]
+    rows = [held[bit] for bit in sorted(held)]
+    pivots = [(m & -m).bit_length() - 1 for m in rows]
+    order = pivots + sorted(set(range(G.cols)).difference(pivots))
     masks = tuple(sum((m >> j & 1) << pos for pos, j in enumerate(order))
-                  for m in rows_done)
-    return BitMatrix(masks, k, n)
+                  for m in rows)
+    return BitMatrix(masks, G.rows, G.cols)
 
 
 def default_schedule(G: BitMatrix) -> tuple[int, ...]:

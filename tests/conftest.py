@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -254,9 +255,10 @@ def simulate_rounds_reference(code, fading, snc, rng, batch, genie=False):
     bits, link SNRs, error uniforms, then the real and imaginary parts
     of the gains and of the noise.  The package writes `h`, `w` and `y`
     through their real and imaginary parts, the detection error
-    probabilities in place, a slot's reliability as a product one column
-    at a time and its relay-error parity as an XOR, so its batches must
-    equal these byte for byte."""
+    probabilities and a slot's reliability in place, and its relay-error
+    parity as an XOR, so its batches must equal these byte for byte.
+    Here a slot's reliability folds the odd-count recurrence
+    q <- q (1 - 2p) + p over its detections, from q = 0."""
     k, n = code.k, code.n
     G = code.G.to_array()
     u = rng.integers(0, 2, size=(batch, k)).astype(np.uint8)
@@ -280,8 +282,9 @@ def simulate_rounds_reference(code, fading, snc, rng, batch, genie=False):
             continue
         keep_j = kept[:, slot]
         g_eff[:, [pairs[idx][0] for idx in slot], j] = keep_j
-        q = 1.0 - 2.0 * np.where(keep_j, pair_err_prob[:, slot], 0.0)
-        p_e[:, j] = (1.0 - np.prod(q, axis=1)) / 2.0
+        probs = np.where(keep_j, pair_err_prob[:, slot], 0.0)
+        p_e[:, j] = functools.reduce(lambda q, p: q * (1.0 - 2.0 * p) + p,
+                                     probs.T, np.zeros(batch))
         e[:, j] = np.where(keep_j, pair_err[:, slot], 0).sum(axis=1) % 2
     c = np.einsum("bk,bkn->bn", u, g_eff) % 2
     c_hat = c ^ e

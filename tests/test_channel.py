@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -128,6 +129,27 @@ def test_combine_reliability_matches_bernoulli_oracle():
         odd = sum(math.prod(q if b else 1 - q for b, q in zip(bits, row))
                   for bits in itertools.product([0, 1], repeat=3) if sum(bits) % 2)
         assert p == pytest.approx(odd, abs=1e-12)
+
+
+def test_combine_reliability_is_relatively_accurate():
+    """Against exact rationals, on rows of 1-5 detections with p
+    log-uniform from 1e-300 to 1/2: a result far below the float epsilon
+    keeps its relative accuracy, and a single detection's p comes through
+    exactly.  (1 - prod(1 - 2p)) / 2 reads 0 below about 1.1e-16, a
+    relative error of 1."""
+    rng = RNG(26)
+    worst = 0.0
+    for m in range(1, 6):
+        ps = 10.0 ** rng.uniform(-300, math.log10(0.5), (400, m))
+        got = combine_reliability(ps)
+        for row, value in zip(ps, got):
+            prod = math.prod(1 - 2 * Fraction(p) for p in row)
+            exact = (1 - prod) / 2
+            worst = max(worst, abs(Fraction(value) - exact) / exact)
+    assert worst < 1e-15
+    for p in (1e-17, 5e-324, 0.3, 0.5):
+        assert combine_reliability([p]) == p
+    assert combine_reliability([1e-17, 0.0, 1e-200]) > 0
 
 
 # ------------------------------------------------------------- configuration

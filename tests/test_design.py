@@ -61,6 +61,10 @@ def test_separation_vector_identity():
     assert separation_vector(_identity(5)) == (1, 1, 1, 1, 1)
 
 
+def test_separation_vector_of_no_rows_is_empty():
+    assert separation_vector(BitMatrix((), 0, 4)) == ()
+
+
 def test_separation_vector_matches_exhaustive_oracle():
     rng = np.random.default_rng(10)
     done = 0
@@ -351,35 +355,64 @@ def test_systematize_known_code():
     assert separation_vector(G) == (3, 3, 3)
 
 
+def _span(masks):
+    """Every codeword of the rows `masks`."""
+    span = {0}
+    for m in masks:
+        span |= {c ^ m for c in span}
+    return span
+
+
 def test_systematize_random_full_rank():
+    """The result, with its column permutation undone, spans the input's
+    row space, its pivots are the earliest independent columns in order,
+    and dependent rows are rejected."""
     rng = np.random.default_rng(12)
-    done = 0
+    done = dependent = 0
     while done < 100:
         k = int(rng.integers(1, 6))
         n = int(rng.integers(k, 12))
-        rows = rng.integers(0, 2, (k, n))
-        # GF(2) rank via elimination (real rank is not a valid proxy)
-        work = list(BitMatrix.from_rows(rows.tolist()).row_masks)
-        rank = 0
+        B = BitMatrix.from_rows(rng.integers(0, 2, (k, n)).tolist())
+        # GF(2) rank and pivot columns via a column-by-column elimination
+        # (real rank is not a valid proxy)
+        work = list(B.row_masks)
+        pivots = []
         for col in range(n):
+            rank = len(pivots)
             piv = next((i for i in range(rank, k) if work[i] >> col & 1), None)
             if piv is None:
                 continue
             work[rank], work[piv] = work[piv], work[rank]
             work = [w ^ work[rank] if i != rank and w >> col & 1 else w
                     for i, w in enumerate(work)]
-            rank += 1
-        if rank < k:
+            pivots.append(col)
+        if len(pivots) < k:
+            with pytest.raises(ValueError, match="linearly dependent"):
+                _systematize(B)
+            dependent += 1
             continue
-        S = _systematize(BitMatrix.from_rows(rows.tolist()))
+        S = _systematize(B)
         assert is_systematic_prefix(S)
-        # row space cardinality is preserved (same code up to column order)
+        # column pos of S is column order[pos] of the input
+        order = pivots + [j for j in range(n) if j not in pivots]
+        undone = [sum((m >> pos & 1) << j for pos, j in enumerate(order))
+                  for m in S.row_masks]
+        assert _span(undone) == _span(B.row_masks)
+        # the reduced rows are the elimination's, pivot by pivot
+        assert undone == work
         done += 1
+    assert dependent > 10
 
 
 def test_systematize_rejects_dependent_rows():
     with pytest.raises(ValueError):
         _systematize(BitMatrix.from_rows([[1, 0, 1], [1, 0, 1]]))
+    # the third row is the sum of the first two, found only once both
+    # are reduced
+    with pytest.raises(ValueError, match="linearly dependent"):
+        _systematize(BitMatrix.from_rows([[0, 1, 1, 0, 1],
+                                          [1, 1, 0, 1, 0],
+                                          [1, 0, 1, 1, 1]]))
 
 
 # ----------------------------------------------------------------- schedules
@@ -393,6 +426,11 @@ def test_default_schedule_examples():
 def test_default_schedule_requires_systematic_prefix():
     with pytest.raises(ValueError):
         default_schedule(BitMatrix.from_rows(NET34_ROWS))
+
+
+def test_default_schedule_rejects_an_all_zero_column():
+    with pytest.raises(ValueError, match="column 3 is all-zero"):
+        default_schedule(BitMatrix.from_rows([[1, 0, 1, 0], [0, 1, 1, 0]]))
 
 
 def test_default_schedule_is_always_valid():

@@ -1,14 +1,17 @@
 """Every exported name resolves.  The per-layer tracer in
 `perfbench/spans.py` looks up each name of a module's `__all__`, so a
-stale entry breaks traced benchmark runs."""
+stale entry breaks traced benchmark runs.  The benchmark's positional
+calls must also mean what their keyword forms say."""
 import ast
 import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import netcode
+from conftest import CODE1_ROWS, CODE1_V
 
 MODULES = ("gf2", "design", "channel", "decoders", "harness", "cli")
 
@@ -16,6 +19,33 @@ MODULES = ("gf2", "design", "channel", "decoders", "harness", "cli")
 BENCHMARK_NAMES = ("FadingModel", "SncPolicy", "simulate_rounds",
                    "decode_with_mode_batch", "sp_decode_batch",
                    "network_code", "BitMatrix", "code_for_requirements")
+
+
+@pytest.mark.parametrize("decoder", ["map", "sp"])
+@pytest.mark.parametrize("snc", [False, True])
+def test_benchmark_calls_keep_their_positions(decoder, snc):
+    """The benchmark's sample checks pass these arguments by position
+    (`perfbench/run.py::sample_checks`); each call must mean what its
+    keyword form says.  Deleting or moving a parameter, such as the
+    decoders' `noise`, needs the benchmark changed with it."""
+    code = netcode.network_code(netcode.BitMatrix.from_rows(CODE1_ROWS), CODE1_V)
+    snr = 10.0 ** (8.0 / 10.0)
+    fading = netcode.FadingModel("block_iid", snr)
+    policy = netcode.SncPolicy(snc)
+    assert fading == netcode.FadingModel(mode="block_iid", mean_snr=snr)
+    assert policy == netcode.SncPolicy(enabled=snc)
+    batch = netcode.simulate_rounds(code, fading, policy,
+                                    np.random.default_rng([5, 0, 0, 1]), 64)
+    again = netcode.simulate_rounds(code=code, fading=fading, snc=policy,
+                                    rng=np.random.default_rng([5, 0, 0, 1]),
+                                    batch=64)
+    assert np.array_equal(batch.y, again.y) and np.array_equal(batch.p_e, again.p_e)
+    decisions = netcode.decode_with_mode_batch(batch, code, 1.0, "optimal", decoder, 4)
+    assert np.array_equal(decisions, netcode.decode_with_mode_batch(
+        batch, code, noise=1.0, mode="optimal", decoder=decoder, sp_iters=4))
+    llrs, signs = netcode.sp_decode_batch(batch, code, 1.0, 4)
+    by_name = netcode.sp_decode_batch(batch, code, noise=1.0, iters=4)
+    assert np.array_equal(llrs, by_name[0]) and np.array_equal(signs, by_name[1])
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -40,6 +40,8 @@ def test_bitmatrix_validation():
         BitMatrix.from_rows([])  # no row to take the column count from
     with pytest.raises(ValueError):
         BitMatrix((0b100,), 1, 2)  # mask outside columns
+    with pytest.raises(ValueError, match="row count mismatch"):
+        BitMatrix((0b1,), 2, 2)
 
 
 def test_is_systematic_prefix():

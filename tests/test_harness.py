@@ -37,6 +37,7 @@ from netcode.harness import (
     records_to_csv,
     records_to_json_lines,
     run_sweep,
+    _libc,
     _worker_count,
 )
 
@@ -235,6 +236,10 @@ def test_run_sweep_reuses_freed_memory_between_batches(net34):
     faults, flags = json.loads(result.stdout)
     assert flags == ["capped", "capped"]
     assert faults < 25_000 // 4
+
+
+def test_libc_lacks_an_unknown_symbol():
+    assert _libc("netcode_no_such_function", ctypes.c_int) is None
 
 
 def test_run_sweep_reruns_reproduce(code1):
